@@ -11,8 +11,7 @@ import argparse
 
 import numpy as np
 
-from itolab.checks import integrate_exact_for
-from itolab.integrator import build_exact_model, process_norm
+from itolab.integrator import build_exact_model, integrate_exact, process_norm
 from itolab.instances import single_cell_process
 from itolab.lq import point_space
 from itolab.prob import exact_moment
@@ -35,7 +34,7 @@ def main():
         for lam in args.lambdas:
             F = single_cell_process(lam, np.array([args.value]), es)
             model = build_exact_model(F, eps=1e-12)
-            mom = exact_moment(integrate_exact_for(model, 1.0, None), p, q)
+            mom = exact_moment(integrate_exact(model, 1.0, None), p, q)
             val = process_norm(F, 1.0, None, p, q, "I_regime", 1e-5, model=model)
             print(f"{lam:8.3f} {mom:12.6f} {val:12.6f} {mom / val:8.3f}")
 

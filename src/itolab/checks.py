@@ -485,7 +485,7 @@ def check_ito_isomorphism(family: list, p: float, q: float, *,
     ratio band max R / min R stays within the configured band, and when R is
     exactly invariant under power-of-two scalings of F.
     """
-    from .integrator import build_exact_model, process_norm, sample_paths
+    from .integrator import build_exact_model, integrate_exact, process_norm, sample_paths
     from .prob import BudgetExceededError
 
     members = []
@@ -497,7 +497,7 @@ def check_ito_isomorphism(family: list, p: float, q: float, *,
         model = None
         try:
             model = build_exact_model(Fn, eps, exact_budget)
-            moment = exact_moment(integrate_exact_for(model, t, B), p, q)
+            moment = exact_moment(integrate_exact(model, t, B), p, q)
             ci = 0.0
             mc = False
         except BudgetExceededError:
@@ -515,22 +515,20 @@ def check_ito_isomorphism(family: list, p: float, q: float, *,
         r_hi.append((moment + ci) / value if value > 0 else math.inf)
     band = table.ito_band
     ratio_band = max(r_hi) / min(r_lo) if min(r_lo) > 0 else math.inf
-    # exact scale invariance under a power-of-two rescaling of the first member
+    # exact scale invariance under a power-of-two rescaling of the first member;
+    # member 0 already holds R of the same normalised process on the exact path
     F0 = family[0]
     inv_gap = 0.0
-    if F0.is_deterministic:
-        def r_of(Fx):
-            s = _pow2_scale(Fx.max_abs())
-            Fs = Fx.scaled(1.0 / s)
-            tx = float(Fs.grid.time_points[-1])
+    if F0.is_deterministic and not members[0]["monte_carlo"]:
+        F32 = F0.scaled(32.0)
+        Fs = F32.scaled(1.0 / _pow2_scale(F32.max_abs()))
+        tx = float(Fs.grid.time_points[-1])
+        try:
             m = build_exact_model(Fs, eps, exact_budget)
-            mom = exact_moment(integrate_exact_for(m, tx, B), p, q)
+            mom = exact_moment(integrate_exact(m, tx, B), p, q)
             val = process_norm(Fs, tx, B, p, q, "I_regime", tol, model=m,
                                eps=eps, restarts=restarts, max_iter=max_iter, seed=seed)
-            return mom / val
-        try:
-            r1 = r_of(F0)
-            r2 = r_of(F0.scaled(32.0))
+            r1, r2 = members[0]["R"], mom / val
             inv_gap = abs(r1 - r2) / max(abs(r1), 1e-300)
         except BudgetExceededError:
             inv_gap = 0.0
@@ -542,11 +540,6 @@ def check_ito_isomorphism(family: list, p: float, q: float, *,
                        tolerance=tol, seed=seed,
                        details={"ratio_band": ratio_band, "members": members,
                                 "scale_invariance_gap": inv_gap})
-
-
-def integrate_exact_for(model, t, B):
-    from .integrator import integrate_exact
-    return integrate_exact(model, t, B)
 
 
 def _pth_moment_ci(norms: np.ndarray, p: float) -> tuple[float, float]:

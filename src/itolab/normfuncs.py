@@ -1,9 +1,12 @@
 """Convex norm functionals on tables of L^q elements, with subgradients.
 
 A table stacks elements along leading axes: sequence norms see
-(items, atoms, *elem), process norms see (cells, atoms, *elem).  Gradients
-use the convention df = Re <g, dU> on the complex entries, which is the
-plain steepest-descent gradient in the underlying real coordinates.
+(items, atoms, *elem), process norms see (cells, atoms, *elem).  ``value``
+takes one table; ``value_grad`` takes a batch of tables with a leading batch
+axis, (B, *table), so the optimizer advances all of its restarts in one call
+per iteration.  Gradients use the convention df = Re <g, dU> on the complex
+entries, which is the plain steepest-descent gradient in the underlying real
+coordinates; a row whose value is 0 gets a zero gradient.
 
 Functionals:
 
@@ -15,6 +18,11 @@ Functionals:
 
 |.|^2 is x*x on the column side, xx* on the row side, and the pointwise
 modulus squared in the commutative case.
+
+Per-row outer powers go through ``np.float_power``, which rounds like the
+scalar ``pow`` of a single table; the vectorised ``**`` loop can differ in
+the last bit, and a batched row would then drift from the same table
+evaluated alone.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from .lq import batch_norm_q
-from .sumopt import NormFunctional
+from .sumopt import NormFunctional, per_row
 
 _EIG_FLOOR = 1e-30
 
@@ -53,6 +61,21 @@ def _elem_norm_grads(U: np.ndarray, q: float, weights) -> tuple[np.ndarray, np.n
     return vals, g
 
 
+def _row_sum(x: np.ndarray) -> np.ndarray:
+    """Sum of each row over all of its entries, in the order of a flat ``sum()``."""
+    return x.reshape(len(x), -1).sum(axis=1)
+
+
+def _outer(val: np.ndarray, p: float, ndim: int) -> np.ndarray:
+    """val^(1-p) per row (1 on rows of value 0), the outer factor of every
+    power-mean gradient, shaped to broadcast over ``ndim`` axes."""
+    return per_row(np.float_power(np.where(val > 0, val, 1.0), 1.0 - p), ndim)
+
+
+def _nonzero_rows(val: np.ndarray, g: np.ndarray) -> np.ndarray:
+    return np.where(per_row(val > 0, g.ndim), g, 0.0)
+
+
 def _gram(U: np.ndarray, side: str) -> np.ndarray:
     if side == "column":
         return np.swapaxes(U, -1, -2).conj() @ U
@@ -60,7 +83,8 @@ def _gram(U: np.ndarray, side: str) -> np.ndarray:
 
 
 def _psd_halfpower(M: np.ndarray, q: float) -> tuple[np.ndarray, np.ndarray]:
-    """For PSD M: value ||M^(1/2)||_q and the factor V diag(l^(q/2-1)) V*.
+    """For PSD M: the power sum tr M^(q/2) = ||M^(1/2)||_q^q and the factor
+    V diag(l^(q/2-1)) V*.
 
     The factor enters every S-norm gradient; eigenvalues are clamped away
     from 0 so the q < 2 case stays finite (inexact subgradient near the
@@ -70,11 +94,11 @@ def _psd_halfpower(M: np.ndarray, q: float) -> tuple[np.ndarray, np.ndarray]:
     eig = np.clip(eig, 0.0, None)
     top = eig.max(axis=-1, keepdims=True)
     floor = np.maximum(top * 1e-15, _EIG_FLOOR)
-    val = (eig ** (q / 2.0)).sum(axis=-1) ** (1.0 / q)
+    pw = (eig ** (q / 2.0)).sum(axis=-1)
     eig_safe = np.maximum(eig, floor)
     core = eig_safe ** (q / 2.0 - 1.0)
     fac = (vec * core[..., None, :]) @ np.swapaxes(vec, -1, -2).conj()
-    return val, fac
+    return pw, fac
 
 
 class SeqS(NormFunctional):
@@ -85,37 +109,31 @@ class SeqS(NormFunctional):
 
     def _second_moment(self, U):
         if self.weights is not None:
-            sq = np.abs(U) ** 2
-            return np.einsum("a,iax->x", self.probs, sq)
-        return np.einsum("a,iaxy->xy", self.probs, _gram(U, self.side))
+            return np.einsum("a,...iax->...x", self.probs, np.abs(U) ** 2)
+        return np.einsum("a,...iaxy->...xy", self.probs, _gram(U, self.side))
 
     def value(self, U):
         M = self._second_moment(U)
         if self.weights is not None:
             return float((self.weights * M ** (self.q / 2.0)).sum() ** (1.0 / self.q))
-        val, _ = _psd_halfpower(M, self.q)
-        return float(val)
+        pw, _ = _psd_halfpower(M, self.q)
+        return float(pw ** (1.0 / self.q))
 
     def value_grad(self, U):
         q = self.q
         M = self._second_moment(U)
         if self.weights is not None:
-            val = float((self.weights * M ** (q / 2.0)).sum() ** (1.0 / q))
-            if val == 0.0:
-                return 0.0, np.zeros_like(U)
-            floor = max(M.max() * 1e-15, _EIG_FLOOR)
+            val = np.float_power((self.weights * M ** (q / 2.0)).sum(axis=-1), 1.0 / q)
+            floor = np.maximum(M.max(axis=-1, keepdims=True) * 1e-15, _EIG_FLOOR)
             core = self.weights * np.maximum(M, floor) ** (q / 2.0 - 1.0)
-            g = val ** (1.0 - q) * self.probs[None, :, None] * core[None, None, :] * U
-            return val, g
-        val, fac = _psd_halfpower(M, q)
-        val = float(val)
-        if val == 0.0:
-            return 0.0, np.zeros_like(U)
-        if self.side == "column":
-            g = val ** (1.0 - q) * self.probs[None, :, None, None] * (U @ fac)
-        else:
-            g = val ** (1.0 - q) * self.probs[None, :, None, None] * (fac @ U)
-        return val, g
+            g = _outer(val, q, 4) * self.probs[:, None] * core[:, None, None, :] * U
+            return val, _nonzero_rows(val, g)
+        pw, fac = _psd_halfpower(M, q)
+        val = np.float_power(pw, 1.0 / q)
+        fac = fac[:, None, None]
+        prod = U @ fac if self.side == "column" else fac @ U
+        g = _outer(val, q, 5) * self.probs[:, None, None] * prod
+        return val, _nonzero_rows(val, g)
 
 
 class SeqD(NormFunctional):
@@ -131,12 +149,9 @@ class SeqD(NormFunctional):
     def value_grad(self, U):
         p = self.p
         a, ga = _elem_norm_grads(U, self.q, self.weights)
-        val = float((self.probs * a ** p).sum() ** (1.0 / p))
-        if val == 0.0:
-            return 0.0, np.zeros_like(U)
-        coef = val ** (1.0 - p) * self.probs * a ** (p - 1.0)
-        g = coef.reshape(coef.shape + (1,) * (U.ndim - 2)) * ga
-        return val, g
+        val = np.float_power(_row_sum(self.probs * a ** p), 1.0 / p)
+        coef = _outer(val, p, 3) * self.probs * a ** (p - 1.0)
+        return val, _nonzero_rows(val, per_row(coef, U.ndim) * ga)
 
 
 class ProcS(NormFunctional):
@@ -149,13 +164,12 @@ class ProcS(NormFunctional):
 
     def _per_atom(self, U):
         if self.weights is not None:
-            sq = np.abs(U) ** 2
-            m = np.einsum("c,cax->ax", self.lam, sq)
+            m = np.einsum("c,...cax->...ax", self.lam, np.abs(U) ** 2)
             b = (self.weights * m ** (self.q / 2.0)).sum(axis=-1) ** (1.0 / self.q)
             return b, m
-        M = np.einsum("c,caxy->axy", self.lam, _gram(U, self.side))
-        b, fac = _psd_halfpower(M, self.q)
-        return b, (M, fac)
+        M = np.einsum("c,...caxy->...axy", self.lam, _gram(U, self.side))
+        pw, fac = _psd_halfpower(M, self.q)
+        return pw ** (1.0 / self.q), fac
 
     def value(self, U):
         b, _ = self._per_atom(U)
@@ -164,25 +178,20 @@ class ProcS(NormFunctional):
     def value_grad(self, U):
         p, q = self.p, self.q
         b, aux = self._per_atom(U)
-        val = float((self.probs * b ** p).sum() ** (1.0 / p))
-        if val == 0.0:
-            return 0.0, np.zeros_like(U)
+        val = np.float_power((self.probs * b ** p).sum(axis=-1), 1.0 / p)
         safe_b = np.where(b > 0, b, 1.0)
-        outer = val ** (1.0 - p) * self.probs * b ** (p - 1.0)      # dval/db per atom
+        outer = _outer(val, p, 2) * self.probs * b ** (p - 1.0)   # dval/db per atom
         inner = np.where(b > 0, outer * safe_b ** (1.0 - q), 0.0)
         if self.weights is not None:
             m = aux
             floor = np.maximum(m.max(axis=-1, keepdims=True) * 1e-15, _EIG_FLOOR)
             core = self.weights * np.maximum(m, floor) ** (q / 2.0 - 1.0)
-            g = inner[None, :, None] * self.lam[:, None, None] * core[None, :, :] * U
-            return val, g
-        _, fac = aux
-        scaled = inner[None, :, None, None] * self.lam[:, None, None, None]
-        if self.side == "column":
-            g = scaled * (U @ fac[None, ...])
-        else:
-            g = scaled * (fac[None, ...] @ U)
-        return val, g
+            g = inner[:, None, :, None] * self.lam[:, None, None] * core[:, None] * U
+            return val, _nonzero_rows(val, g)
+        fac = aux[:, None]
+        scaled = inner[:, None, :, None, None] * self.lam[:, None, None, None]
+        prod = U @ fac if self.side == "column" else fac @ U
+        return val, _nonzero_rows(val, scaled * prod)
 
 
 class ProcDqq(NormFunctional):
@@ -200,16 +209,13 @@ class ProcDqq(NormFunctional):
     def value_grad(self, U):
         p, q = self.p, self.q
         a, ga = _elem_norm_grads(U, self.q, self.weights)
-        inner = (self.lam[:, None] * a ** q).sum(axis=0)
-        val = float((self.probs * inner ** (p / q)).sum() ** (1.0 / p))
-        if val == 0.0:
-            return 0.0, np.zeros_like(U)
+        inner = (self.lam[:, None] * a ** q).sum(axis=1)
+        val = np.float_power((self.probs * inner ** (p / q)).sum(axis=-1), 1.0 / p)
         safe = np.where(inner > 0, inner, 1.0)
         datom = np.where(inner > 0,
-                         val ** (1.0 - p) * self.probs * safe ** (p / q - 1.0), 0.0)
-        coef = datom[None, :] * self.lam[:, None] * a ** (q - 1.0)
-        g = coef.reshape(coef.shape + (1,) * (U.ndim - 2)) * ga
-        return val, g
+                         _outer(val, p, 2) * self.probs * safe ** (p / q - 1.0), 0.0)
+        coef = datom[:, None, :] * self.lam[:, None] * a ** (q - 1.0)
+        return val, _nonzero_rows(val, per_row(coef, U.ndim) * ga)
 
 
 class ProcDpq(NormFunctional):
@@ -226,9 +232,7 @@ class ProcDpq(NormFunctional):
     def value_grad(self, U):
         p = self.p
         a, ga = _elem_norm_grads(U, self.q, self.weights)
-        val = float((self.lam[:, None] * self.probs[None, :] * a ** p).sum() ** (1.0 / p))
-        if val == 0.0:
-            return 0.0, np.zeros_like(U)
-        coef = val ** (1.0 - p) * self.lam[:, None] * self.probs[None, :] * a ** (p - 1.0)
-        g = coef.reshape(coef.shape + (1,) * (U.ndim - 2)) * ga
-        return val, g
+        val = np.float_power(_row_sum(self.lam[:, None] * self.probs[None, :] * a ** p), 1.0 / p)
+        coef = (_outer(val, p, 3) * self.lam[:, None] * self.probs[None, :]
+                * a ** (p - 1.0))
+        return val, _nonzero_rows(val, per_row(coef, U.ndim) * ga)

@@ -7,6 +7,12 @@ a norm of an affine image of the variables, so the objective is convex; the
 returned value is always an upper bound on the infimum (any feasible
 decomposition certifies one).
 
+The restarts advance in lockstep: the iterate is a batch of decompositions
+with a leading restart axis, every ``value_grad`` takes and returns tables
+with that leading batch axis, and one objective call per iteration serves
+every restart still running.  Each restart keeps its own step-size state and
+stops on its own rule, exactly as if it ran alone.
+
 Targets are normalized by a power of two before optimizing, which makes the
 reported value exactly positively homogeneous under power-of-two scalings of
 the input.
@@ -34,9 +40,16 @@ class NormFunctional:
     def value(self, table: np.ndarray) -> float:
         raise NotImplementedError
 
-    def value_grad(self, table: np.ndarray) -> tuple[float, np.ndarray]:
-        """Returns (value, g) with df = Re <g, dTable>."""
+    def value_grad(self, tables: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """For a batch (B, *table) returns values (B,) and gradients (B, *table)
+        with df = Re <g, dTable> per row, and g = 0 on rows whose value is 0."""
         raise NotImplementedError
+
+
+def per_row(x: np.ndarray, ndim: int) -> np.ndarray:
+    """View a per-row array (B, ...) with trailing unit axes up to ``ndim``, so
+    that it broadcasts against a batch of tables."""
+    return x.reshape(x.shape + (1,) * (ndim - x.ndim))
 
 
 class MaxFunctional(NormFunctional):
@@ -48,17 +61,23 @@ class MaxFunctional(NormFunctional):
     def value(self, table):
         return max(p.value(table) for p in self.parts)
 
-    def value_grad(self, table):
-        best_v, best_g = -math.inf, None
-        for p in self.parts:
-            v, g = p.value_grad(table)
-            if best_g is None or v > best_v:
-                best_v, best_g = v, g
+    def value_grad(self, tables):
+        # first maximum per row: a later part wins only if strictly larger,
+        # so ties go to the earlier part and a NaN value is never replaced
+        best_v, best_g = self.parts[0].value_grad(tables)
+        for p in self.parts[1:]:
+            v, g = p.value_grad(tables)
+            take = v > best_v
+            best_v = np.where(take, v, best_v)
+            best_g = np.where(per_row(take, g.ndim), g, best_g)
         return best_v, best_g
 
 
 @dataclass(eq=False)
 class DecompositionResult:
+    """``converged`` belongs to the returned decomposition: the stopping rule
+    of the restart it came from (gap exhausted by stalls, or a vanishing
+    gradient), or True when no restart improved on the best corner."""
     value: float
     parts: list[np.ndarray]
     iterations: int
@@ -75,7 +94,10 @@ def _pow2_scale(x: float) -> float:
 def minimize_decomposition(target: np.ndarray, funcs: list[NormFunctional], *,
                            restarts: int = 8, max_iter: int = 5000,
                            rel_tol: float = 1e-7, seed: int = 0) -> DecompositionResult:
-    """Minimize sum_j funcs[j](x_j) subject to sum_j x_j = target."""
+    """Minimize sum_j funcs[j](x_j) subject to sum_j x_j = target.
+
+    ``iterations`` is the sum of the restarts' own iteration counts.
+    """
     target = np.asarray(target, dtype=complex)
     k = len(funcs)
     if k == 1:
@@ -87,15 +109,13 @@ def minimize_decomposition(target: np.ndarray, funcs: list[NormFunctional], *,
     z = target / scale
 
     def objective(X):
-        last = z - X.sum(axis=0)
-        total = 0.0
+        """Values (n,) and gradients (n, k-1, *shape) of n decompositions."""
+        total, g_last = funcs[-1].value_grad(z - X.sum(axis=1))
         grads = np.empty_like(X)
-        v_last, g_last = funcs[-1].value_grad(last)
-        total += v_last
         for j in range(k - 1):
-            v, g = funcs[j].value_grad(X[j])
-            total += v
-            grads[j] = g - g_last
+            v, g = funcs[j].value_grad(X[:, j])
+            total = total + v
+            grads[:, j] = g - g_last
         return total, grads
 
     # corner candidates: all mass assigned to a single summand
@@ -105,74 +125,83 @@ def minimize_decomposition(target: np.ndarray, funcs: list[NormFunctional], *,
     X_best = np.zeros((k - 1,) + z.shape, dtype=complex)
     if best_corner < k - 1:
         X_best[best_corner] = z
+    converged = True
 
-    total_iters = 0
-    converged = False
-    for r in range(restarts):
-        if r == 0:
-            X = X_best.copy()
-        else:
-            gen = philox(seed, 1000 + r)
-            w = gen.random(k)
-            w /= w.sum()
-            noise_scale = 0.25 * float(np.abs(z).mean())
-            X = np.empty((k - 1,) + z.shape, dtype=complex)
-            for j in range(k - 1):
-                noise = gen.standard_normal(z.shape) + 1j * gen.standard_normal(z.shape)
-                X[j] = w[j] * z + noise_scale * noise
-        f_run_best = math.inf
-        X_run_best = X.copy()
-        gap = 0.2
-        stall = 0
-        it = 0
-        while it < max_iter:
-            with np.errstate(all="ignore"):
-                f, g = objective(X)
-            total_iters += 1
+    # restart 0 starts at the best corner, restart r >= 1 at a seeded random point
+    X = np.empty((restarts, k - 1) + z.shape, dtype=complex)
+    X[:1] = X_best
+    noise_scale = 0.25 * float(np.abs(z).mean())
+    for r in range(1, restarts):
+        gen = philox(seed, 1000 + r)
+        w = gen.random(k)
+        w /= w.sum()
+        for j in range(k - 1):
+            noise = gen.standard_normal(z.shape) + 1j * gen.standard_normal(z.shape)
+            X[r, j] = w[j] * z + noise_scale * noise
+
+    # per-restart results, written when a restart stops
+    f_out = np.full(restarts, np.inf)
+    X_out = np.empty_like(X)
+    conv_out = np.zeros(restarts, dtype=bool)
+    it_out = np.zeros(restarts, dtype=int)
+
+    # state of the running restarts; a restart that stops is dropped from all of it
+    n = restarts if max_iter > 0 else 0
+    ids = np.arange(n)
+    X = X[:n]
+    X_run_best = X.copy()
+    f_run_best = np.full(n, np.inf)
+    gap = np.full(n, 0.2)
+    stall = np.zeros(n, dtype=int)
+    it = np.zeros(n, dtype=int)
+    with np.errstate(all="ignore"):
+        while n:
+            f, g = objective(X)
             it += 1
-            if not math.isfinite(f):
-                X = X_run_best.copy()
-                gap *= 0.5
-                if gap < rel_tol:
-                    break
-                continue
-            improved = (not math.isfinite(f_run_best)
-                        or f < f_run_best - rel_tol * abs(f_run_best))
-            if improved:
-                f_run_best, X_run_best, stall = f, X.copy(), 0
-            else:
-                stall += 1
-            if stall > 30:
-                gap *= 0.5
-                stall = 0
-                X = X_run_best.copy()
-                if gap < rel_tol:
-                    converged = True
-                    break
-                continue
-            gnorm2 = float((np.abs(g) ** 2).sum())
-            if gnorm2 <= 1e-24 * max(f, 1e-12) ** 2:
-                converged = True
-                break
-            if not np.all(np.isfinite(g)):
-                X = X_run_best.copy()
-                gap *= 0.5
-                if gap < rel_tol:
-                    break
-                continue
+            finite = np.isfinite(f)
+            improved = finite & (~np.isfinite(f_run_best)
+                                 | (f < f_run_best - rel_tol * np.abs(f_run_best)))
+            f_run_best = np.where(improved, f, f_run_best)
+            np.copyto(X_run_best, X, where=per_row(improved, X.ndim))
+            stall = np.where(improved, 0, stall + finite)
+            stalled = stall > 30
+            stall[stalled] = 0
+            gnorm2 = (np.abs(g) ** 2).reshape(n, -1).sum(axis=1)
+            # rows past the value and stall tests meet the gradient tests
+            checked = finite & ~stalled
+            flat = checked & (gnorm2 <= 1e-24 * np.maximum(f, 1e-12) ** 2)
+            bad_grad = checked & ~flat & ~np.isfinite(g).reshape(n, -1).all(axis=1)
+            # a non-finite value, a stall or a non-finite gradient sends the
+            # restart back to its best point with half the Polyak gap
+            reset = ~checked | bad_grad
+            gap = np.where(reset, 0.5 * gap, gap)
+            exhausted = reset & (gap < rel_tol)
             step = (f - f_run_best * (1.0 - gap)) / gnorm2
             # keep iterates bounded; the Polyak step can blow up on flat spots
-            limit = 2.0 * max(1.0, float(np.abs(X).max()))
-            slen = step * math.sqrt(gnorm2)
-            if slen > limit:
-                step = limit / math.sqrt(gnorm2)
-            with np.errstate(all="ignore"):
-                X = X - step * g
-        if f_run_best < f_best:
-            f_best, X_best = f_run_best, X_run_best
+            limit = 2.0 * np.maximum(1.0, np.abs(X).reshape(n, -1).max(axis=1))
+            root = np.sqrt(gnorm2)
+            step = np.where(step * root > limit, limit / root, step)
+            X = X - per_row(step, g.ndim) * g
+            np.copyto(X, X_run_best, where=per_row(reset, X.ndim))
+            done = flat | exhausted | (it >= max_iter)
+            if done.any():
+                out = ids[done]
+                f_out[out] = f_run_best[done]
+                X_out[out] = X_run_best[done]
+                conv_out[out] = (flat | (stalled & exhausted))[done]
+                it_out[out] = it[done]
+                keep = ~done
+                ids, X, X_run_best = ids[keep], X[keep], X_run_best[keep]
+                f_run_best, gap, stall, it = f_run_best[keep], gap[keep], stall[keep], it[keep]
+                n = len(ids)
+
+    # restart order, strict improvement: ties keep the earlier candidate
+    for r in range(restarts):
+        if f_out[r] < f_best:
+            f_best, X_best, converged = float(f_out[r]), X_out[r], bool(conv_out[r])
     if not math.isfinite(f_best):
         raise OptimizerError("sum-norm optimizer failed to produce a finite value",
                              best_value=f_best)
     parts = [X_best[j] * scale for j in range(k - 1)]
     parts.append(target - sum(parts))
-    return DecompositionResult(f_best * scale, parts, total_iters, converged)
+    return DecompositionResult(f_best * scale, parts, int(it_out.sum()), converged)

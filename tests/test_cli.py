@@ -1,6 +1,8 @@
+import hashlib
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -100,6 +102,16 @@ def test_deterministic_csv_bytes(tmp_path):
         assert main(["suite", "--config", str(cfg), "--out", str(out)]) == 0
         paths.append(out)
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_default_suite_csv_is_byte_identical_to_reference(tmp_path, monkeypatch):
+    # the benchmark's reference digest of `itolab suite --out` at the default
+    # seed; a change that moves any suite number has to say so and rewrite it
+    ref = json.loads((Path(__file__).parents[1] / "perfbench" / "reference.json").read_text())
+    monkeypatch.delenv("ITOLAB_WORKERS", raising=False)
+    out = tmp_path / "suite.csv"
+    assert main(["suite", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == ref["suite"]["csv_sha256"]
 
 
 def test_emit_json_round_trip(tmp_path):
