@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lq import InvalidInputError, LqElement, batch_norm_q
-from .prob import exact_moment, sign_matrix
+from .prob import exact_moment, moment_ci, sign_matrix
 from .report import (CONFIGURED, EXPLICIT, FAIL, MEASURED, PASS, REPORT_ONLY,
                      CheckReport)
 from .seqnorms import (LqSequence, NormExpr, RegimeSpec, composite_norm,
@@ -100,18 +100,6 @@ class ConstantTable:
     latala_constant: float | None = None
     ito_band: float = 16.0
 
-    def kappa(self, p, q):
-        return kahane_kappa(p, q)
-
-    def khintchine(self, p, q):
-        return khintchine_upper(p, q)
-
-    def c_pq(self, p, q):
-        return c_pq(p, q)
-
-    def c_pd(self, p, d):
-        return c_pd(p, d)
-
 
 DEFAULT_TABLE = ConstantTable()
 
@@ -185,14 +173,13 @@ def _require_mean_zero(seq: LqSequence, tol: float = 1e-9):
 
 
 def check_khintchine(xs: list[LqElement], p: float, q: float, *,
-                     table: ConstantTable = DEFAULT_TABLE,
                      tolerance: float = REL_SLACK, seed: int | None = None) -> CheckReport:
     """Rademacher sums against the square functions, exact sign enumeration.
 
     q >= 2: second-moment lower bound at constant exactly 1, p-th-moment upper
-    bound at the table K_{p,q}.  q < 2: constant-1 upper bound at the second
-    moment against the decomposition infimum (here, its optimizer upper
-    bound); the reverse direction is a recorded ratio.
+    bound at K_{p,q} = khintchine_upper(p, q).  q < 2: constant-1 upper bound
+    at the second moment against the decomposition infimum (here, its
+    optimizer upper bound); the reverse direction is a recorded ratio.
     """
     lhs_p = rademacher_sum_moment(xs, p, q)
     lhs_2 = rademacher_sum_moment(xs, 2.0, q)
@@ -201,7 +188,7 @@ def check_khintchine(xs: list[LqElement], p: float, q: float, *,
     scale = max(lhs_p, sq_max, 1e-300)
     details = {"moment_p": lhs_p, "moment_2": lhs_2, "column": col, "row": row}
     if q >= 2:
-        K = table.khintchine(p, q)
+        K = khintchine_upper(p, q)
         ok_lower = lhs_2 >= sq_max - tolerance * scale
         ok_upper = lhs_p <= K * sq_max + tolerance * scale
         details["lower_margin"] = lhs_2 - sq_max
@@ -239,7 +226,6 @@ def check_symmetrization(seq: LqSequence, p: float, q: float, *,
 
 
 def check_kahane(xs: list[LqElement], p: float, q: float, *, norm_exp: float = 2.0,
-                 table: ConstantTable = DEFAULT_TABLE,
                  tolerance: float = REL_SLACK, seed: int | None = None) -> CheckReport:
     """Moment comparison of Rademacher sums: p-th vs q-th moment of the same
     Banach norm (exponent ``norm_exp``)."""
@@ -249,7 +235,7 @@ def check_kahane(xs: list[LqElement], p: float, q: float, *, norm_exp: float = 2
         return CheckReport("kahane", m_p, m_q, math.nan, MEASURED, REPORT_ONLY,
                            p=p, q=q, seed=seed,
                            details={"ratio": m_p / m_q if m_q > 0 else math.nan})
-    bound = table.kappa(p, q)
+    bound = kahane_kappa(p, q)
     ok = m_p <= bound * m_q + tolerance * max(m_p, m_q, 1e-300)
     return CheckReport("kahane", m_p, m_q, bound, EXPLICIT, PASS if ok else FAIL,
                        p=p, q=q, tolerance=tolerance, seed=seed,
@@ -325,7 +311,6 @@ def check_hoffmann_jorgensen(seq: LqSequence, p: float, q: float, *,
 
 
 def check_pq_ge2_equivalence(seq: LqSequence, p: float, q: float, *,
-                             table: ConstantTable = DEFAULT_TABLE,
                              tolerance: float = 1e-9,
                              seed: int | None = None) -> CheckReport:
     """Two-sided moment bound for 2 <= p, q with fully explicit constants.
@@ -338,15 +323,12 @@ def check_pq_ge2_equivalence(seq: LqSequence, p: float, q: float, *,
         raise InvalidInputError("this equivalence needs 2 <= p, q")
     _require_mean_zero(seq)
     moment = exact_moment(seq.sum_variable(), p, q)
-    if seq.kind == "commutative":
-        s_col = s_row = norm_S(seq, q)
-    else:
-        s_col, s_row = norm_S(seq, q, "column"), norm_S(seq, q, "row")
+    s_col, s_row = norm_S(seq, q, "column"), norm_S(seq, q, "row")
     little = little_rosenthal_term(seq, p, q)
-    upper_c = table.c_pq(p, q) * (1.0 + math.sqrt(2.0))
-    inner_c = table.c_pq(p / 2.0, q / 2.0)
+    upper_c = c_pq(p, q) * (1.0 + math.sqrt(2.0))
+    inner_c = c_pq(p / 2.0, q / 2.0)
     rhs_upper = max(s_col, s_row, inner_c * little)
-    rhs_lower = max(little / table.kappa(q, p), s_col, s_row)
+    rhs_lower = max(little / kahane_kappa(q, p), s_col, s_row)
     scale = max(moment, rhs_upper, 1e-300)
     ok_upper = moment <= upper_c * rhs_upper + tolerance * scale
     ok_lower = moment >= 0.5 * rhs_lower - tolerance * scale
@@ -360,9 +342,7 @@ def check_pq_ge2_equivalence(seq: LqSequence, p: float, q: float, *,
                        p=p, q=q, tolerance=tolerance, seed=seed, details=details)
 
 
-def check_rosenthal_lq(seq: LqSequence, p: float, q: float,
-                       mode: str | None = None, *,
-                       table: ConstantTable = DEFAULT_TABLE, tol: float = 1e-4,
+def check_rosenthal_lq(seq: LqSequence, p: float, q: float, *, tol: float = 1e-4,
                        tolerance: float = 1e-9, seed: int = 0,
                        restarts: int = 4, max_iter: int = 1500) -> CheckReport:
     """Sum moment vs the six-regime composite norm.
@@ -372,8 +352,7 @@ def check_rosenthal_lq(seq: LqSequence, p: float, q: float,
     constant-2 square-function bounds, and the constant-4 decomposition bound
     for p, q <= 2.  Mixed regimes stay report-only.
     """
-    if mode is None:
-        mode = "commutative" if seq.kind == "commutative" else "noncommutative"
+    mode = "commutative" if seq.kind == "commutative" else "noncommutative"
     _require_mean_zero(seq)
     scale0 = _pow2_scale(float(np.abs(seq.values).max()))
     seq = seq.scaled(1.0 / scale0)
@@ -384,13 +363,10 @@ def check_rosenthal_lq(seq: LqSequence, p: float, q: float,
     ratio = moment / rhs if rhs > 0 else (0.0 if moment == 0 else math.inf)
     details = {"ratio": ratio, "case_id": spec.case_id, "node_values": comp.node_values}
     hard: list[bool] = []
-    if seq.kind == "commutative":
-        s_col = s_row = norm_S(seq, q)
-    else:
-        s_col, s_row = norm_S(seq, q, "column"), norm_S(seq, q, "row")
+    s_col, s_row = norm_S(seq, q, "column"), norm_S(seq, q, "row")
     slack = tolerance * max(moment, rhs, s_col, s_row, 1e-300)
     if p >= 2 and q >= 2:
-        sub = check_pq_ge2_equivalence(seq, p, q, table=table, tolerance=tolerance)
+        sub = check_pq_ge2_equivalence(seq, p, q, tolerance=tolerance)
         details["explicit_two_sided"] = sub.status
         hard.append(sub.status == PASS)
         hard.append(max(s_col, s_row) <= 2.0 * moment + slack)
@@ -502,7 +478,7 @@ def check_ito_isomorphism(family: list, p: float, q: float, *,
             mc = False
         except BudgetExceededError:
             norms = sample_paths(Fn, t, B, q, n_samples, seed, stream=idx)
-            moment, ci = _pth_moment_ci(norms[:, -1], p)
+            moment, ci = moment_ci(norms[:, -1], p)
             ci *= 3.0
             mc = True
             model = None
@@ -540,17 +516,6 @@ def check_ito_isomorphism(family: list, p: float, q: float, *,
                        tolerance=tol, seed=seed,
                        details={"ratio_band": ratio_band, "members": members,
                                 "scale_invariance_gap": inv_gap})
-
-
-def _pth_moment_ci(norms: np.ndarray, p: float) -> tuple[float, float]:
-    pw = norms ** p
-    n = len(pw)
-    m = float(pw.mean())
-    sd = float(pw.std(ddof=1)) / math.sqrt(n) if n > 1 else 0.0
-    est = m ** (1.0 / p)
-    lo = max(m - sd, 0.0) ** (1.0 / p)
-    hi = (m + sd) ** (1.0 / p)
-    return est, (hi - lo) / 2.0
 
 
 def check_doob(F, p: float, q: float, *, t: float | None = None, B=None,

@@ -2,8 +2,9 @@
 
 Subcommands: moments, rosenthal, integral, matrix, khintchine, suite.
 Exit codes: 0 all hard assertions passed, 1 a check failed, 2 invalid
-config, 3 resource budget exceeded.  Report-only rows never affect the
-exit code.  ITOLAB_WORKERS sizes the work pool (default serial).
+config (also when found while the jobs run), 3 resource budget exceeded.
+Report-only rows never affect the exit code.  ITOLAB_WORKERS sizes the work
+pool (default serial).
 """
 
 from __future__ import annotations
@@ -14,182 +15,23 @@ import math
 import os
 import sys
 import time
-import zlib
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from . import checks as C
-from . import randmat as RM
-from .config import (CHECK_KEYS, ConfigError, ExperimentConfig, load_config,
-                     parse_config, process_from_table)
-from .instances import (random_element, random_independent_sequence,
-                        random_positive_sequence, single_cell_process,
-                        multi_cell_process)
-from .lq import point_space
-from .poisson import verify_poisson_moment_bounds
-from .prob import BudgetExceededError, philox
+from .config import (SCALAR_ELEMENT, ConfigError, ExperimentConfig, load_config,
+                     parse_config, resolve_check)
+from .prob import BudgetExceededError
 from .report import FAIL, CheckReport
 
 CSV_COLUMNS = ("check_id", "case_id", "p", "q", "lhs", "rhs", "constant",
                "provenance", "status", "tolerance", "seed", "runtime_ms")
 
-SCALAR_ELEMENT = {"kind": "commutative", "weights": [1.0]}
-
-
-def _stream(job_index: int, tag: str, k: int = 0) -> int:
-    return (zlib.crc32(f"{tag}:{job_index}:{k}".encode()) & 0xFFFFFFFF) | (k << 32)
-
-
-def _as_list(x):
-    return list(x) if isinstance(x, (list, tuple)) else [x]
-
-
-def _law_from(spec) -> RM.EntryLaw:
-    if spec == "rademacher":
-        return RM.rademacher_law()
-    if spec == "gaussian":
-        return RM.gaussian_law()
-    if isinstance(spec, dict) and set(spec) <= {"two_atom"}:
-        params = spec["two_atom"]
-        return RM.two_atom_law(float(params["a"]), float(params["prob"]),
-                               bool(params.get("fourth_finite", True)))
-    raise ConfigError(f"unknown entry law {spec!r}")
-
 
 def _run_job(job: dict, idx: int, cfg: ExperimentConfig) -> list[CheckReport]:
-    cid = job["check"]
-    table = cfg.constants
-    out: list[CheckReport] = []
     t0 = time.perf_counter()
-    if cid == "khintchine":
-        spec = job.get("element", {"kind": "matrix", "dims": [2, 2]})
-        n = int(job.get("n_items", 4))
-        for pi, p in enumerate(_as_list(job.get("p", 2.0))):
-            for qi, q in enumerate(_as_list(job.get("q", 2.0))):
-                for inst in range(int(job.get("instances", 3))):
-                    gen = philox(cfg.seed, _stream(idx, cid, (pi * 97 + qi) * 211 + inst))
-                    xs = [random_element(gen, spec) for _ in range(n)]
-                    out.append(C.check_khintchine(xs, float(p), float(q),
-                                                  table=table, seed=cfg.seed))
-    elif cid == "kahane":
-        spec = job.get("element", SCALAR_ELEMENT)
-        n = int(job.get("n_items", 4))
-        norm_exp = float(job.get("norm_exp", 2.0))
-        for pi, p in enumerate(_as_list(job.get("p", 4.0))):
-            for qi, q in enumerate(_as_list(job.get("q", 2.0))):
-                for inst in range(int(job.get("instances", 3))):
-                    gen = philox(cfg.seed, _stream(idx, cid, (pi * 97 + qi) * 211 + inst))
-                    xs = [random_element(gen, spec) for _ in range(n)]
-                    out.append(C.check_kahane(xs, float(p), float(q), norm_exp=norm_exp,
-                                              table=table, seed=cfg.seed))
-    elif cid in ("symmetrization", "hoffmann_jorgensen", "rosenthal_lq", "pq_ge2"):
-        spec = job.get("element", SCALAR_ELEMENT)
-        n = int(job.get("n_items", 3))
-        atoms = int(job.get("n_atoms", 2))
-        for pi, p in enumerate(_as_list(job.get("p", 2.0))):
-            for qi, q in enumerate(_as_list(job.get("q", 2.0))):
-                for inst in range(int(job.get("instances", 3))):
-                    gen = philox(cfg.seed, _stream(idx, cid, (pi * 97 + qi) * 211 + inst))
-                    seq = random_independent_sequence(gen, n, spec, atoms)
-                    p_, q_ = float(p), float(q)
-                    if cid == "symmetrization":
-                        out.append(C.check_symmetrization(seq, p_, q_, seed=cfg.seed))
-                    elif cid == "hoffmann_jorgensen":
-                        out.append(C.check_hoffmann_jorgensen(seq, p_, q_, table=table,
-                                                              seed=cfg.seed))
-                    elif cid == "rosenthal_lq":
-                        out.append(C.check_rosenthal_lq(seq, p_, q_, table=table,
-                                                        seed=cfg.seed))
-                    else:
-                        out.append(C.check_pq_ge2_equivalence(seq, p_, q_, table=table,
-                                                              seed=cfg.seed))
-    elif cid == "rosenthal_scalar":
-        n = int(job.get("n_items", 4))
-        atoms = int(job.get("n_atoms", 2))
-        for pi, p in enumerate(_as_list(job.get("p", 3.0))):
-            for inst in range(int(job.get("instances", 5))):
-                gen = philox(cfg.seed, _stream(idx, cid, pi * 211 + inst))
-                seq = random_independent_sequence(gen, n, SCALAR_ELEMENT, atoms)
-                out.append(C.check_rosenthal_scalar(seq, float(p), table=table,
-                                                    seed=cfg.seed))
-    elif cid == "rosenthal_positive":
-        n = int(job.get("n_items", 4))
-        atoms = int(job.get("n_atoms", 2))
-        for pi, p in enumerate(_as_list(job.get("p", 3.0))):
-            for inst in range(int(job.get("instances", 3))):
-                gen = philox(cfg.seed, _stream(idx, cid, pi * 211 + inst))
-                seq = random_positive_sequence(gen, n, atoms)
-                out.append(C.check_rosenthal_positive(seq, float(p), seed=cfg.seed))
-    elif cid == "type_cotype":
-        spec = job.get("element", SCALAR_ELEMENT)
-        n = int(job.get("n_items", 4))
-        for qi, q in enumerate(_as_list(job.get("q", 3.0))):
-            for inst in range(int(job.get("instances", 3))):
-                gen = philox(cfg.seed, _stream(idx, cid, qi * 211 + inst))
-                xs = [random_element(gen, spec) for _ in range(n)]
-                out.append(C.check_type_cotype(xs, float(q), seed=cfg.seed))
-    elif cid == "poisson_moment_bounds":
-        grid_spec = job.get("lambda_grid", {})
-        from .poisson import default_lambda_grid
-        grid = default_lambda_grid(int(grid_spec.get("num", 60)),
-                                   float(grid_spec.get("lo", 1e-4)),
-                                   float(grid_spec.get("hi", 1.0)))
-        out.extend(verify_poisson_moment_bounds(_as_list(job.get("p", [2, 3, 4])),
-                                                grid, float(job.get("eps", 1e-12))))
-    elif cid == "decoupling":
-        F = process_from_table(job["process"], cfg.base_dir)
-        for p in _as_list(job.get("p", 2.0)):
-            for q in _as_list(job.get("q", 2.0)):
-                out.append(C.check_decoupling(F, float(p), float(q), table=table,
-                                              eps=float(job.get("eps", 1e-10)),
-                                              seed=cfg.seed))
-    elif cid == "doob":
-        F = process_from_table(job["process"], cfg.base_dir)
-        for p in _as_list(job.get("p", 2.0)):
-            for q in _as_list(job.get("q", 2.0)):
-                out.append(C.check_doob(F, float(p), float(q),
-                                        n_samples=int(job.get("n_samples", cfg.samples)),
-                                        seed=cfg.seed))
-    elif cid == "ito_isomorphism":
-        fam = [process_from_table(tbl, cfg.base_dir) for tbl in job["family"]]
-        for p in _as_list(job.get("p", 2.0)):
-            for q in _as_list(job.get("q", 2.0)):
-                out.append(C.check_ito_isomorphism(fam, float(p), float(q), table=table,
-                                                   tol=float(job.get("tol", 1e-4)),
-                                                   n_samples=cfg.samples, seed=cfg.seed))
-    elif cid in ("matrix_sum", "matrix_entries", "latala"):
-        law = _law_from(job.get("law", "rademacher"))
-        d1 = int(job.get("d1", 2))
-        d2 = int(job.get("d2", d1))
-        n_samp = int(job.get("n_samples", cfg.samples))
-        force_mc = cfg.mode == "sampled"
-        if cid == "matrix_sum":
-            ens = RM.MatrixEnsemble(d1, d2, int(job.get("n", 4)), law, "summand")
-            for p in _as_list(job.get("p", 2.0)):
-                out.append(RM.bound_matrix_sum(ens, float(p), n_samples=n_samp,
-                                               seed=cfg.seed, table=table,
-                                               force_mc=force_mc))
-        else:
-            ens = RM.MatrixEnsemble(d1, d2, 1, law, "entries")
-            for p in _as_list(job.get("p", 2.0)):
-                if cid == "matrix_entries":
-                    out.append(RM.bound_entry_matrix(ens, float(p), n_samples=n_samp,
-                                                     seed=cfg.seed, table=table,
-                                                     force_mc=force_mc))
-                else:
-                    out.append(RM.bound_latala(ens, float(p), n_samples=n_samp,
-                                               seed=cfg.seed, table=table))
-    elif cid == "seginer":
-        if "a" in job:
-            a = np.asarray(job["a"], dtype=float)
-        else:
-            d = int(job.get("d", 4))
-            a = np.ones((d, d))
-        for p in _as_list(job.get("p", 2.0)):
-            out.append(RM.seginer_ensemble(a, float(p), seed=cfg.seed))
-    else:
-        raise ConfigError(f"unknown check id {cid!r}")
+    run, args = resolve_check(job, f"checks[{idx}]")
+    out = run(args, idx, cfg)
     elapsed = (time.perf_counter() - t0) * 1000.0 / max(len(out), 1)
     for r in out:
         r.runtime_ms = elapsed
@@ -244,12 +86,10 @@ def _jsonify(v):
 
 
 def emit(reports: list[CheckReport], path: str, fmt: str = "csv",
-         record_runtime: bool = False, empty_ok: bool = True) -> None:
+         record_runtime: bool = False) -> None:
     """Write reports as CSV or JSON with a stable column order and 17
     significant digits.  Runtime is zeroed unless requested, keeping outputs
     byte-identical across reruns with a fixed seed."""
-    if not reports and not empty_ok:
-        raise ValueError("no reports to emit")
     rows = []
     for r in reports:
         d = r.as_dict()
@@ -359,11 +199,10 @@ def main(argv=None) -> int:
             cfg.seed = args.seed
         if args.mode is not None:
             cfg.mode = args.mode
+        reports = run_jobs(cfg)
     except (ConfigError, OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    try:
-        reports = run_jobs(cfg)
     except BudgetExceededError as exc:
         print(f"resource error: {exc}", file=sys.stderr)
         return 3

@@ -15,21 +15,29 @@ A config is a JSON object:
 
 Unknown keys are rejected everywhere.  Processes and sequences are defined
 by cell tables and atom tables, inline or via {"file": "path.json"}.
+
+``CHECKS`` maps each check id to its keys with their defaults and to the
+runner that turns one job into reports.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
+import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import checks as C
+from . import randmat as RM
 from .checks import ConstantTable
-from .lq import FiniteMeasureSpace
-from .poisson import GridPartition
+from .poisson import GridPartition, default_lambda_grid, verify_poisson_moment_bounds
 from .integrator import SimpleAdaptedProcess, deterministic_process
-from .instances import element_space_of
+from .instances import (element_space_of, random_element, random_independent_sequence,
+                        random_positive_sequence)
+from .prob import philox
 
 
 class ConfigError(ValueError):
@@ -39,26 +47,6 @@ class ConfigError(ValueError):
 _TOP_KEYS = {"version", "seed", "mode", "samples", "record_runtime", "constants", "checks"}
 _CONSTANT_KEYS = {"hj_factor", "rosenthal_factor", "umd_constant", "latala_constant",
                   "ito_band"}
-
-CHECK_KEYS = {
-    "khintchine": {"check", "p", "q", "n_items", "element", "instances"},
-    "kahane": {"check", "p", "q", "norm_exp", "n_items", "element", "instances"},
-    "symmetrization": {"check", "p", "q", "n_items", "n_atoms", "element", "instances"},
-    "rosenthal_scalar": {"check", "p", "n_items", "n_atoms", "instances"},
-    "rosenthal_positive": {"check", "p", "n_items", "n_atoms", "instances"},
-    "hoffmann_jorgensen": {"check", "p", "q", "n_items", "n_atoms", "element", "instances"},
-    "rosenthal_lq": {"check", "p", "q", "n_items", "n_atoms", "element", "instances"},
-    "pq_ge2": {"check", "p", "q", "n_items", "n_atoms", "element", "instances"},
-    "type_cotype": {"check", "q", "n_items", "element", "instances"},
-    "poisson_moment_bounds": {"check", "p", "lambda_grid", "eps"},
-    "decoupling": {"check", "p", "q", "process", "eps"},
-    "doob": {"check", "p", "q", "process", "n_samples"},
-    "ito_isomorphism": {"check", "p", "q", "family", "tol"},
-    "matrix_sum": {"check", "p", "d1", "d2", "n", "law", "n_samples"},
-    "matrix_entries": {"check", "p", "d1", "d2", "law", "n_samples"},
-    "latala": {"check", "p", "d1", "d2", "law", "n_samples"},
-    "seginer": {"check", "p", "a", "d"},
-}
 
 
 def _reject_unknown(obj: dict, allowed: set, where: str):
@@ -96,18 +84,14 @@ def parse_config(raw: dict, base_dir: str = ".") -> ExperimentConfig:
     consts_raw = raw.get("constants", {})
     _reject_unknown(consts_raw, _CONSTANT_KEYS, "constants")
     constants = ConstantTable(**consts_raw)
+    samples = _sample_count(raw.get("samples", 10_000), "samples")
     checks = raw.get("checks", [])
     if not isinstance(checks, list):
         raise ConfigError("checks must be a list")
     for i, job in enumerate(checks):
-        if not isinstance(job, dict) or "check" not in job:
-            raise ConfigError(f"checks[{i}] must be an object with a \"check\" key")
-        cid = job["check"]
-        if cid not in CHECK_KEYS:
-            raise ConfigError(f"unknown check id {cid!r}")
-        _reject_unknown(job, CHECK_KEYS[cid], f"checks[{i}] ({cid})")
+        resolve_check(job, f"checks[{i}]")
     return ExperimentConfig(seed=int(raw.get("seed", 12345)), mode=mode,
-                            samples=int(raw.get("samples", 10_000)),
+                            samples=samples,
                             record_runtime=bool(raw.get("record_runtime", False)),
                             constants=constants, checks=checks, base_dir=base_dir)
 
@@ -156,3 +140,227 @@ def process_from_table(obj: dict, base_dir: str = ".") -> SimpleAdaptedProcess:
         _reject_unknown(cell, {"i", "j", "value"}, "process.cells[]")
         cells[(int(cell["i"]), int(cell["j"]))] = _parse_values(cell["value"], kind)
     return deterministic_process(grid, cells, es)
+
+
+# -- the check table -------------------------------------------------------------
+
+REQUIRED = object()  # default of a key that every job of its check must give
+SCALAR_ELEMENT = {"kind": "commutative", "weights": [1.0]}
+
+
+def _sample_count(n, where: str) -> int:
+    """A Monte Carlo sample count: a CI needs at least 2 samples."""
+    try:
+        k = int(n)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where} must be an integer, got {n!r}") from None
+    if k < 2:
+        raise ConfigError(f"{where} must be at least 2, got {n!r}")
+    return k
+
+
+def _stream(job_index: int, tag: str, k: int = 0) -> int:
+    return (zlib.crc32(f"{tag}:{job_index}:{k}".encode()) & 0xFFFFFFFF) | (k << 32)
+
+
+def _as_list(x):
+    return list(x) if isinstance(x, (list, tuple)) else [x]
+
+
+def _points(job: dict, axes: tuple):
+    """(mixed-radix index, float exponents) over the job's exponent grid,
+    last axis fastest, radix 97 per axis."""
+    for point in itertools.product(*(enumerate(_as_list(job[a])) for a in axes)):
+        key = 0
+        for i, _ in point:
+            key = key * 97 + i
+        yield key, [float(v) for _, v in point]
+
+
+def _swept(axes: tuple, draw, check):
+    """Runner calling ``check(job, cfg, instance, *exponents)`` at each point
+    of the exponent grid of ``axes`` on ``instances`` random instances.
+    Instance ``inst`` at a point is ``draw(gen, job)``, with ``gen`` the
+    Philox stream keyed by the point's index times 211 plus ``inst``."""
+
+    def run(job: dict, idx: int, cfg: ExperimentConfig) -> list:
+        out = []
+        for key, exps in _points(job, axes):
+            for inst in range(int(job["instances"])):
+                gen = philox(cfg.seed, _stream(idx, job["check"], key * 211 + inst))
+                out.append(check(job, cfg, draw(gen, job), *exps))
+        return out
+
+    return run
+
+
+def _fixed(axes: tuple, build, check):
+    """Runner calling ``check(job, cfg, instance, *exponents)`` at each point
+    of the exponent grid of ``axes`` on the one instance ``build(job, cfg)``."""
+
+    def run(job: dict, idx: int, cfg: ExperimentConfig) -> list:
+        instance = build(job, cfg)
+        return [check(job, cfg, instance, *exps) for _, exps in _points(job, axes)]
+
+    return run
+
+
+def _elements(gen, job: dict) -> list:
+    return [random_element(gen, job["element"]) for _ in range(int(job["n_items"]))]
+
+
+def _sequence(gen, job: dict, element=None):
+    return random_independent_sequence(gen, int(job["n_items"]),
+                                       element or job["element"], int(job["n_atoms"]))
+
+
+def _process(job: dict, cfg: ExperimentConfig) -> SimpleAdaptedProcess:
+    return process_from_table(job["process"], cfg.base_dir)
+
+
+def _law_from(spec) -> RM.EntryLaw:
+    if spec == "rademacher":
+        return RM.rademacher_law()
+    if spec == "gaussian":
+        return RM.gaussian_law()
+    params = spec.get("two_atom") if isinstance(spec, dict) and len(spec) == 1 else None
+    if isinstance(params, dict):
+        _reject_unknown(params, {"a", "prob", "fourth_finite"}, "two_atom law")
+        try:
+            return RM.two_atom_law(float(params["a"]), float(params["prob"]),
+                                   bool(params.get("fourth_finite", True)))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"bad two_atom law {params!r}: {exc!r}") from None
+    raise ConfigError(f"unknown entry law {spec!r}")
+
+
+def _ensemble(job: dict, n: int, structure: str) -> RM.MatrixEnsemble:
+    d1 = int(job["d1"])
+    d2 = d1 if job["d2"] is None else int(job["d2"])
+    return RM.MatrixEnsemble(d1, d2, n, _law_from(job["law"]), structure)
+
+
+def _samples(job: dict, cfg: ExperimentConfig) -> int:
+    return cfg.samples if job["n_samples"] is None else int(job["n_samples"])
+
+
+def _run_poisson_moment_bounds(job: dict, idx: int, cfg: ExperimentConfig) -> list:
+    grid_spec = job["lambda_grid"]
+    grid = default_lambda_grid(int(grid_spec.get("num", 60)),
+                               float(grid_spec.get("lo", 1e-4)),
+                               float(grid_spec.get("hi", 1.0)))
+    return verify_poisson_moment_bounds(_as_list(job["p"]), grid, float(job["eps"]))
+
+
+_SEQUENCE_KEYS = {"p": 2.0, "q": 2.0, "n_items": 3, "n_atoms": 2,
+                  "element": SCALAR_ELEMENT, "instances": 3}
+_MATRIX_KEYS = {"p": 2.0, "d1": 2, "d2": None, "law": "rademacher", "n_samples": None}
+
+# check id -> (keys with their defaults, runner(job, job index, cfg) -> reports).
+# A default of None is resolved by the runner: n_samples falls back to the
+# config's samples, d2 to d1, a to the d x d all-ones pattern.  Runners call
+# the checkers through their modules, so that wrappers installed on a module
+# attribute see every call.
+CHECKS = {
+    "khintchine": (
+        {"p": 2.0, "q": 2.0, "n_items": 4, "element": {"kind": "matrix", "dims": [2, 2]},
+         "instances": 3},
+        _swept(("p", "q"), _elements, lambda job, cfg, xs, p, q: C.check_khintchine(
+            xs, p, q, seed=cfg.seed))),
+    "kahane": (
+        {"p": 4.0, "q": 2.0, "norm_exp": 2.0, "n_items": 4, "element": SCALAR_ELEMENT,
+         "instances": 3},
+        _swept(("p", "q"), _elements, lambda job, cfg, xs, p, q: C.check_kahane(
+            xs, p, q, norm_exp=float(job["norm_exp"]), seed=cfg.seed))),
+    "symmetrization": (_SEQUENCE_KEYS, _swept(
+        ("p", "q"), _sequence, lambda job, cfg, seq, p, q: C.check_symmetrization(
+            seq, p, q, seed=cfg.seed))),
+    "hoffmann_jorgensen": (_SEQUENCE_KEYS, _swept(
+        ("p", "q"), _sequence, lambda job, cfg, seq, p, q: C.check_hoffmann_jorgensen(
+            seq, p, q, table=cfg.constants, seed=cfg.seed))),
+    "rosenthal_lq": (_SEQUENCE_KEYS, _swept(
+        ("p", "q"), _sequence, lambda job, cfg, seq, p, q: C.check_rosenthal_lq(
+            seq, p, q, seed=cfg.seed))),
+    "pq_ge2": (_SEQUENCE_KEYS, _swept(
+        ("p", "q"), _sequence, lambda job, cfg, seq, p, q: C.check_pq_ge2_equivalence(
+            seq, p, q, seed=cfg.seed))),
+    "rosenthal_scalar": (
+        {"p": 3.0, "n_items": 4, "n_atoms": 2, "instances": 5},
+        _swept(("p",), lambda gen, job: _sequence(gen, job, SCALAR_ELEMENT),
+               lambda job, cfg, seq, p: C.check_rosenthal_scalar(
+                   seq, p, table=cfg.constants, seed=cfg.seed))),
+    "rosenthal_positive": (
+        {"p": 3.0, "n_items": 4, "n_atoms": 2, "instances": 3},
+        _swept(("p",), lambda gen, job: random_positive_sequence(
+            gen, int(job["n_items"]), int(job["n_atoms"])),
+            lambda job, cfg, seq, p: C.check_rosenthal_positive(seq, p, seed=cfg.seed))),
+    "type_cotype": (
+        {"q": 3.0, "n_items": 4, "element": SCALAR_ELEMENT, "instances": 3},
+        _swept(("q",), _elements, lambda job, cfg, xs, q: C.check_type_cotype(
+            xs, q, seed=cfg.seed))),
+    "poisson_moment_bounds": (
+        {"p": [2, 3, 4], "lambda_grid": {}, "eps": 1e-12}, _run_poisson_moment_bounds),
+    "decoupling": (
+        {"p": 2.0, "q": 2.0, "process": REQUIRED, "eps": 1e-10},
+        _fixed(("p", "q"), _process, lambda job, cfg, F, p, q: C.check_decoupling(
+            F, p, q, table=cfg.constants, eps=float(job["eps"]), seed=cfg.seed))),
+    "doob": (
+        {"p": 2.0, "q": 2.0, "process": REQUIRED, "n_samples": None},
+        _fixed(("p", "q"), _process, lambda job, cfg, F, p, q: C.check_doob(
+            F, p, q, n_samples=_samples(job, cfg), seed=cfg.seed))),
+    "ito_isomorphism": (
+        {"p": 2.0, "q": 2.0, "family": REQUIRED, "tol": 1e-4},
+        _fixed(("p", "q"), lambda job, cfg: [process_from_table(tbl, cfg.base_dir)
+                                             for tbl in job["family"]],
+               lambda job, cfg, fam, p, q: C.check_ito_isomorphism(
+                   fam, p, q, table=cfg.constants, tol=float(job["tol"]),
+                   n_samples=cfg.samples, seed=cfg.seed))),
+    "matrix_sum": (
+        {**_MATRIX_KEYS, "n": 4},
+        _fixed(("p",), lambda job, cfg: _ensemble(job, int(job["n"]), "summand"),
+               lambda job, cfg, ens, p: RM.bound_matrix_sum(
+                   ens, p, n_samples=_samples(job, cfg), seed=cfg.seed,
+                   force_mc=cfg.mode == "sampled"))),
+    "matrix_entries": (
+        _MATRIX_KEYS,
+        _fixed(("p",), lambda job, cfg: _ensemble(job, 1, "entries"),
+               lambda job, cfg, ens, p: RM.bound_entry_matrix(
+                   ens, p, n_samples=_samples(job, cfg), seed=cfg.seed,
+                   force_mc=cfg.mode == "sampled"))),
+    "latala": (
+        _MATRIX_KEYS,
+        _fixed(("p",), lambda job, cfg: _ensemble(job, 1, "entries"),
+               lambda job, cfg, ens, p: RM.bound_latala(
+                   ens, p, n_samples=_samples(job, cfg), seed=cfg.seed,
+                   table=cfg.constants))),
+    "seginer": (
+        {"p": 2.0, "a": None, "d": 4},
+        _fixed(("p",), lambda job, cfg: (np.ones((int(job["d"]),) * 2) if job["a"] is None
+                                         else np.asarray(job["a"], dtype=float)),
+               lambda job, cfg, a, p: RM.seginer_ensemble(a, p, seed=cfg.seed))),
+}
+
+
+def resolve_check(job, where: str):
+    """(runner, job with defaults filled in) for one job of a config.
+
+    ConfigError on an unknown check id, an unknown or missing key, an entry
+    law that is not one of the known laws, or fewer than 2 Monte Carlo
+    samples.
+    """
+    if not isinstance(job, dict) or "check" not in job:
+        raise ConfigError(f"{where} must be an object with a \"check\" key")
+    cid = job["check"]
+    if cid not in CHECKS:
+        raise ConfigError(f"unknown check id {cid!r}")
+    keys, run = CHECKS[cid]
+    where = f"{where} ({cid})"
+    _reject_unknown(job, {"check", *keys}, where)
+    missing = sorted(k for k, v in keys.items() if v is REQUIRED and k not in job)
+    if missing:
+        raise ConfigError(f"missing keys {missing} in {where}")
+    if "n_samples" in job:
+        _sample_count(job["n_samples"], f"n_samples in {where}")
+    if "law" in job:
+        _law_from(job["law"])
+    return run, {**keys, **job}

@@ -29,33 +29,18 @@ and the regime composite combines them with max / infimal-sum connectives.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .lq import FiniteMeasureSpace, InvalidInputError, LqElement
 from .normfuncs import ProcDpq, ProcDqq, ProcS
 from .poisson import GridPartition, PoissonFieldRealization
-from .prob import (BudgetExceededError, FiniteProbabilitySpace, ProductSpace,
-                   RandomLqVariable, exact_moment, philox, product_space,
+from .prob import (ProductSpace, RandomLqVariable, moment_ci, philox, product_space,
                    truncated_poisson)
-from .seqnorms import NormExpr, RegimeSpec, regime_select
-from .sumopt import MaxFunctional, minimize_decomposition
+from .seqnorms import evaluate_tree, regime_select
 
 DEFAULT_EXACT_BUDGET = 200_000
-
-
-@dataclass(frozen=True)
-class FiltrationStage:
-    """Stage i of the grid filtration: generated by all cells (i', j), i' < i."""
-
-    index: int
-    generating_cells: tuple
-
-    @staticmethod
-    def for_grid(grid: GridPartition, index: int) -> "FiltrationStage":
-        cells = tuple((i, j) for i in range(index) for j in range(grid.n_marks))
-        return FiltrationStage(index, cells)
 
 
 @dataclass(eq=False)
@@ -179,7 +164,7 @@ class ExactModel:
 
     Cells are ordered time-major.  ``counts`` has one row per cell and one
     column per atom of the product space; ``y`` holds the coefficient value
-    per cell and atom.  When ``decoupled`` the space is Omega x Omega_c and
+    per cell and atom.  When built decoupled the space is Omega x Omega_c and
     ``counts_c`` carries the independent copy's counts.
     """
 
@@ -190,10 +175,6 @@ class ExactModel:
     y: np.ndarray
     truncation_tail: float
     counts_c: np.ndarray | None = None
-
-    @property
-    def decoupled(self) -> bool:
-        return self.counts_c is not None
 
 
 def build_exact_model(F: SimpleAdaptedProcess, eps: float = 1e-10,
@@ -316,17 +297,6 @@ def sample_paths(F: SimpleAdaptedProcess, t: float, B, q: float,
     return norms
 
 
-def _moment_ci(samples_pow: np.ndarray, p: float) -> tuple[float, float]:
-    """(E X^p)^(1/p) estimate with a delta-method 1-sigma half width."""
-    n = len(samples_pow)
-    m = float(samples_pow.mean())
-    sd = float(samples_pow.std(ddof=1)) / math.sqrt(n) if n > 1 else 0.0
-    est = m ** (1.0 / p)
-    lo = max(m - sd, 0.0) ** (1.0 / p)
-    hi = (m + sd) ** (1.0 / p)
-    return est, (hi - lo) / 2.0
-
-
 def running_max_moment(F: SimpleAdaptedProcess, t: float, B, p: float, q: float,
                        n_samples: int, seed: int) -> dict:
     """Monte Carlo (E sup_{s<=t} ||int_(0,s]||_q^p)^(1/p) with a CI half-width.
@@ -335,13 +305,9 @@ def running_max_moment(F: SimpleAdaptedProcess, t: float, B, p: float, q: float,
     integral path is a step function in s.  The terminal moment estimate and
     its CI come from the same paths.
     """
-    if n_samples < 1:
-        raise InvalidInputError("n_samples must be >= 1")
     norms = sample_paths(F, t, B, q, n_samples, seed)
-    sup_pow = norms.max(axis=1) ** p
-    term_pow = norms[:, -1] ** p
-    sup_est, sup_ci = _moment_ci(sup_pow, p)
-    term_est, term_ci = _moment_ci(term_pow, p)
+    sup_est, sup_ci = moment_ci(norms.max(axis=1), p)
+    term_est, term_ci = moment_ci(norms[:, -1], p)
     return {"estimate": sup_est, "ci_half": sup_ci,
             "terminal": term_est, "terminal_ci_half": term_ci,
             "n_samples": n_samples}
@@ -466,26 +432,9 @@ def process_norm(F: SimpleAdaptedProcess, t: float, B, p: float, q: float,
 
     if which != "I_regime":
         return atom_func(which).value(y)
-
     spec = regime_select(p, q, mode)
-    rel_tol = min(1e-7, tol / 10.0)
-
-    def node_func(node: NormExpr):
-        if node.op == "atom":
-            return atom_func(node.name)
-        return MaxFunctional([node_func(c) for c in node.children])
-
-    def eval_node(node: NormExpr) -> float:
-        if node.op == "atom":
-            return atom_func(node.name).value(y)
-        if node.op == "max":
-            return max(eval_node(c) for c in node.children)
-        funcs = [node_func(c) for c in node.children]
-        res = minimize_decomposition(y, funcs, restarts=restarts,
-                                     max_iter=max_iter, rel_tol=rel_tol, seed=seed)
-        return res.value
-
-    return eval_node(spec.tree)
+    return evaluate_tree(spec.tree, atom_func, y, tol, restarts=restarts,
+                         max_iter=max_iter, seed=seed)[0]
 
 
 # -- decoupling construction ----------------------------------------------------

@@ -53,10 +53,6 @@ class FiniteMeasureSpace:
     def n_atoms(self) -> int:
         return len(self.atom_ids)
 
-    @property
-    def total_mass(self) -> float:
-        return float(self.weights.sum())
-
 
 def point_space(weight: float = 1.0) -> FiniteMeasureSpace:
     """One-atom measure space; its L^q elements are scalars for every q."""
@@ -105,11 +101,6 @@ class LqElement:
     def shape(self) -> tuple:
         return self.values.shape
 
-    def adjoint(self) -> "LqElement":
-        if self.kind == "commutative":
-            return LqElement(np.conj(self.values), self.space)
-        return LqElement(np.conj(self.values.T))
-
     def __add__(self, other: "LqElement") -> "LqElement":
         _check_compatible(self, other)
         return LqElement(self.values + other.values, self.space)
@@ -134,11 +125,6 @@ def _check_compatible(x: LqElement, y: LqElement):
         raise InvalidInputError("elements live on different measure spaces")
 
 
-def scalar(z: complex, weight: float = 1.0) -> LqElement:
-    """A scalar as a commutative element on a one-atom space."""
-    return LqElement(np.array([z]), point_space(weight))
-
-
 @dataclass(frozen=True)
 class ExponentPair:
     """Moment exponent p and space exponent q, both finite.
@@ -157,9 +143,6 @@ class ExponentPair:
         lo_q = 1.0 if self.allow_q_one else 1.0 + 1e-12
         if not (lo_p <= self.p < math.inf and lo_q <= self.q < math.inf):
             raise InvalidInputError(f"exponents out of range: p={self.p}, q={self.q}")
-
-    def conjugate(self) -> "ExponentPair":
-        return ExponentPair(conjugate_exponent(self.p), conjugate_exponent(self.q))
 
 
 def conjugate_exponent(p: float) -> float:
@@ -280,14 +263,6 @@ def modulus_square(x: LqElement, side: str = "column") -> LqElement:
     if side == "column":
         return LqElement(x.values.conj().T @ x.values)
     return LqElement(x.values @ x.values.conj().T)
-
-
-def hermitian_sqrt(values: np.ndarray) -> np.ndarray:
-    """PSD square root via eigendecomposition, eigenvalues clamped at 0."""
-    eig, vec = np.linalg.eigh(values)
-    eig = np.clip(eig, 0.0, None)
-    root = np.sqrt(eig)
-    return (vec * root[..., None, :]) @ np.swapaxes(vec, -1, -2).conj()
 
 
 def embed(xs: list[LqElement], layout: str) -> LqElement:

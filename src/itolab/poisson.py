@@ -120,10 +120,6 @@ class PoissonFieldRealization:
     counts: np.ndarray
     event_times: list            # [interval][mark] -> sorted float array
 
-    @property
-    def compensated(self) -> np.ndarray:
-        return self.counts - self.grid.intensities
-
     def count_before(self, i: int, j: int, t: float) -> int:
         """Events of cell (i, j) at times <= t."""
         times = self.event_times[i][j]

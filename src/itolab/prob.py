@@ -10,7 +10,7 @@ and a certified tail bound for moment series.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -148,16 +148,8 @@ class RandomLqVariable:
     def elem_shape(self) -> tuple:
         return self.values.shape[1:]
 
-    def element(self, atom_index: int) -> LqElement:
-        return LqElement(self.values[atom_index], self.elem_space)
-
     def mean(self) -> LqElement:
         return LqElement(self.space.expectation(self.values), self.elem_space)
-
-    def is_mean_zero(self, tol: float = 1e-10) -> bool:
-        m = self.space.expectation(self.values)
-        scale = max(np.abs(self.values).max(), 1.0)
-        return bool(np.abs(m).max() <= tol * scale)
 
     def __add__(self, other: "RandomLqVariable") -> "RandomLqVariable":
         if self.space is not other.space and self.space != other.space:
@@ -194,6 +186,21 @@ def exact_moment(X: RandomLqVariable, p: float, q: float) -> float:
     return float((X.space.probs * norms ** p).sum() ** (1.0 / p))
 
 
+def moment_ci(samples: np.ndarray, p: float) -> tuple[float, float]:
+    """Monte Carlo (E X^p)^(1/p) from samples of X >= 0, with the delta-method
+    1-sigma half-width: the p-th roots of mean +- standard error of X^p."""
+    pw = samples ** p
+    n = len(pw)
+    if n < 2:
+        raise InvalidInputError(f"a moment CI needs at least 2 samples, got {n}")
+    m = float(pw.mean())
+    sd = float(pw.std(ddof=1)) / math.sqrt(n)
+    est = m ** (1.0 / p)
+    lo = max(m - sd, 0.0) ** (1.0 / p)
+    hi = (m + sd) ** (1.0 / p)
+    return est, (hi - lo) / 2.0
+
+
 # -- Poisson -------------------------------------------------------------------
 
 
@@ -216,17 +223,6 @@ class TruncatedPoisson:
 
     def mean(self) -> float:
         return float((np.arange(self.cutoff + 1) * self.probs).sum())
-
-
-def _poisson_pmf_terms(lam: float, upto: int) -> np.ndarray:
-    ks = np.arange(upto + 1)
-    with np.errstate(divide="ignore"):
-        logs = ks * math.log(lam) - lam - np.array([math.lgamma(k + 1) for k in ks]) if lam > 0 else None
-    if lam == 0:
-        out = np.zeros(upto + 1)
-        out[0] = 1.0
-        return out
-    return np.exp(logs)
 
 
 def truncated_poisson(lam: float, eps: float) -> TruncatedPoisson:

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lq import InvalidInputError
-from .checks import ConstantTable, DEFAULT_TABLE
-from .prob import philox
+from .checks import ConstantTable, DEFAULT_TABLE, c_pd
+from .prob import moment_ci, philox
 from .report import (CONFIGURED, EXPLICIT, FAIL, MEASURED, PASS, REPORT_ONLY,
                      CheckReport)
 
@@ -168,20 +168,13 @@ def _sample_stats(ens: MatrixEnsemble, p: float, n_samples: int, seed: int,
     vals = ens.law.sample(gen, (n_samples, ens.n, ens.d1, ens.d2)) * ens.scale_matrix
     norms = _operator_norms(vals)
     sums = _operator_norms(vals.sum(axis=1))
-
-    def mci(samples):
-        pw = samples ** p
-        mmean = float(pw.mean())
-        sd = float(pw.std(ddof=1)) / math.sqrt(n_samples)
-        lo = max(mmean - sd, 0.0) ** (1.0 / p)
-        hi = (mmean + sd) ** (1.0 / p)
-        return mmean ** (1.0 / p), (hi - lo) / 2.0
-
-    return mci(sums), mci(norms.max(axis=1))
+    return moment_ci(sums, p), moment_ci(norms.max(axis=1), p)
 
 
-def _square_terms_summand(ens: MatrixEnsemble) -> tuple[float, float]:
-    """Exact operator norms of (sum_i E xi*xi)^(1/2) and the row analogue.
+def _square_terms(ens: MatrixEnsemble) -> tuple[float, float]:
+    """Exact operator norms of (sum_i E xi*xi)^(1/2) and the row analogue;
+    an entrywise ensemble is one summand, so these are the column and row
+    second-moment maxima.
 
     Independent mean-zero entries make both expectations diagonal."""
     sec = ens.law.abs_moment(2.0) * ens.scale_matrix ** 2
@@ -191,12 +184,12 @@ def _square_terms_summand(ens: MatrixEnsemble) -> tuple[float, float]:
 
 
 def bound_matrix_sum(ens: MatrixEnsemble, p: float, *, n_samples: int = 10_000,
-                     seed: int = 0, table: ConstantTable = DEFAULT_TABLE,
-                     tolerance: float = 1e-9, force_mc: bool = False) -> CheckReport:
+                     seed: int = 0, tolerance: float = 1e-9,
+                     force_mc: bool = False) -> CheckReport:
     """Two-sided sum bound with the stated constants; exact or CI-widened."""
     if p < 2:
         raise InvalidInputError("the sum bound needs p >= 2")
-    col, row = _square_terms_summand(ens)
+    col, row = _square_terms(ens)
     if ens.exact_feasible() and not force_mc:
         lhs, emax = _enumerate_stats(ens, p)
         lhs_ci = emax_ci = 0.0
@@ -206,8 +199,8 @@ def bound_matrix_sum(ens: MatrixEnsemble, p: float, *, n_samples: int = 10_000,
         lhs_ci *= 3.0
         emax_ci *= 3.0
         mc = True
-    cpd = table.c_pd(p, ens.d)
-    cpd_half = table.c_pd(p / 2.0, ens.d)
+    cpd = c_pd(p, ens.d)
+    cpd_half = c_pd(p / 2.0, ens.d)
     rhs = 2.0 * (1.0 + math.sqrt(2.0)) * cpd * max(col, row, 2.0 * cpd_half * emax)
     slack = tolerance * max(lhs, rhs, 1.0)
     ok_upper = lhs - lhs_ci <= rhs + (2.0 * (1.0 + math.sqrt(2.0)) * cpd *
@@ -224,10 +217,6 @@ def bound_matrix_sum(ens: MatrixEnsemble, p: float, *, n_samples: int = 10_000,
     return CheckReport("matrix_sum", lhs, rhs, 2.0 * (1.0 + math.sqrt(2.0)) * cpd,
                        EXPLICIT, PASS if ok else FAIL, p=p, q=None,
                        tolerance=tolerance, seed=seed, details=details)
-
-
-def _entry_second_moments(ens: MatrixEnsemble) -> np.ndarray:
-    return ens.law.abs_moment(2.0) * ens.scale_matrix ** 2
 
 
 def _entry_max_moment(ens: MatrixEnsemble, p: float, n_samples: int, seed: int):
@@ -251,23 +240,18 @@ def _entry_max_moment(ens: MatrixEnsemble, p: float, n_samples: int, seed: int):
         return total ** (1.0 / p), 0.0
     gen = philox(seed, 77)
     vals = np.abs(ens.law.sample(gen, (n_samples, ens.d1, ens.d2)) * scale)
-    pw = vals.reshape(n_samples, -1).max(axis=1) ** p
-    sd = float(pw.std(ddof=1)) / math.sqrt(n_samples)
-    m = float(pw.mean())
-    return m ** (1.0 / p), ((m + sd) ** (1.0 / p) - max(m - sd, 0.0) ** (1.0 / p)) / 2.0
+    return moment_ci(vals.reshape(n_samples, -1).max(axis=1), p)
 
 
 def bound_entry_matrix(ens: MatrixEnsemble, p: float, *, n_samples: int = 10_000,
-                       seed: int = 0, table: ConstantTable = DEFAULT_TABLE,
-                       tolerance: float = 1e-9, force_mc: bool = False) -> CheckReport:
+                       seed: int = 0, tolerance: float = 1e-9,
+                       force_mc: bool = False) -> CheckReport:
     """Entrywise bound: row/column second-moment maxima plus the entry max."""
     if ens.structure != "entries":
         raise InvalidInputError("entry bound needs an entrywise ensemble")
     if p < 2:
         raise InvalidInputError("the entry bound needs p >= 2")
-    sec = _entry_second_moments(ens)
-    col = math.sqrt(float(sec.sum(axis=0).max()))
-    row = math.sqrt(float(sec.sum(axis=1).max()))
+    col, row = _square_terms(ens)
     emax, emax_ci = _entry_max_moment(ens, p, n_samples, seed)
     if ens.exact_feasible() and not force_mc:
         lhs, _ = _enumerate_stats(ens, p)
@@ -277,8 +261,8 @@ def bound_entry_matrix(ens: MatrixEnsemble, p: float, *, n_samples: int = 10_000
         (lhs, lhs_ci), _ = _sample_stats(ens, p, n_samples, seed, stream=1)
         lhs_ci *= 3.0
         mc = True
-    cpd = table.c_pd(p, ens.d)
-    cpd_half = table.c_pd(p / 2.0, ens.d)
+    cpd = c_pd(p, ens.d)
+    cpd_half = c_pd(p / 2.0, ens.d)
     constant = 2.0 * (1.0 + math.sqrt(2.0)) * cpd
     rhs = constant * max(col, row, 2.0 * cpd_half * emax)
     slack = tolerance * max(lhs, rhs, 1.0)
@@ -299,13 +283,11 @@ def bound_latala(ens: MatrixEnsemble, p: float, *, n_samples: int = 10_000,
     """
     if ens.structure != "entries":
         raise InvalidInputError("Latala's bound needs an entrywise ensemble")
-    sec = _entry_second_moments(ens)
     if not ens.law.fourth_finite:
         return CheckReport("latala", math.nan, math.nan, math.nan, MEASURED,
                            REPORT_ONLY, p=p, q=None, seed=seed,
                            details={"note": "inapplicable: fourth moment flagged infinite"})
-    r_row = math.sqrt(float(sec.sum(axis=1).max()))
-    r_col = math.sqrt(float(sec.sum(axis=0).max()))
+    r_col, r_row = _square_terms(ens)
     fourth = float((ens.law.abs_moment(4.0) * ens.scale_matrix ** 4).sum()) ** 0.25
     base = r_row + r_col + fourth
     if ens.exact_feasible():
@@ -343,9 +325,7 @@ def seginer_ensemble(a: np.ndarray, p: float, *, n_samples: int = 10_000,
     else:
         (lhs, _), _ = _sample_stats(ens, p, n_samples, seed, stream=3)
         mc = True
-    col = math.sqrt(float((a ** 2).sum(axis=0).max()))
-    row = math.sqrt(float((a ** 2).sum(axis=1).max()))
-    base = max(col, row)
+    base = max(_square_terms(ens))
     d = min(d1, d2)
     ref = math.log(d) ** 0.25 if d >= 2 else 1.0
     ratio = lhs / base if base > 0 else math.nan

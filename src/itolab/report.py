@@ -36,22 +36,5 @@ class CheckReport:
     runtime_ms: float = 0.0
     details: dict = field(default_factory=dict)
 
-    @property
-    def passed(self) -> bool:
-        return self.status != FAIL
-
     def as_dict(self) -> dict:
         return asdict(self)
-
-
-def bounded_check(check_id: str, lhs: float, rhs: float, constant: float,
-                  provenance: str, tolerance: float = 0.0, **kw) -> CheckReport:
-    """Pass iff lhs <= constant * rhs + tolerance."""
-    ok = lhs <= constant * rhs + tolerance
-    return CheckReport(check_id, lhs, rhs, constant, provenance,
-                       PASS if ok else FAIL, tolerance=tolerance, **kw)
-
-
-def report_only(check_id: str, lhs: float, rhs: float, constant: float = float("nan"),
-                provenance: str = MEASURED, **kw) -> CheckReport:
-    return CheckReport(check_id, lhs, rhs, constant, provenance, REPORT_ONLY, **kw)

@@ -17,19 +17,16 @@ low-dimensional instances.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .lq import (ExponentPair, FiniteMeasureSpace, InvalidInputError, LqElement,
-                 batch_norm_q, conjugate_exponent, point_space)
+                 batch_norm_q, conjugate_exponent)
 from .normfuncs import SeqD, SeqS
 from .prob import FiniteProbabilitySpace, RandomLqVariable
 from .sumopt import MaxFunctional, NormFunctional, minimize_decomposition
-
-ATOM_NAMES = ("S", "S_c", "S_r", "D_qq", "D_pq")
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,10 +59,6 @@ class LqSequence:
     def n_items(self) -> int:
         return self.values.shape[0]
 
-    def items(self) -> list[RandomLqVariable]:
-        return [RandomLqVariable(self.space, self.values[i], self.elem_space)
-                for i in range(self.n_items)]
-
     def sum_variable(self) -> RandomLqVariable:
         return RandomLqVariable(self.space, self.values.sum(axis=0), self.elem_space)
 
@@ -93,20 +86,18 @@ class LqSequence:
 
 def norm_S(seq: LqSequence, q: float, side: str = "column") -> float:
     """|| (sum_i E modulus_square(f_i, side))^(1/2) ||_q, exact expectation."""
-    weights = seq.elem_space.weights if seq.elem_space is not None else None
     if seq.kind == "commutative":
-        func = SeqS(q, "column", seq.space.probs, weights)
+        name = "S"
+    elif side in ("column", "row"):
+        name = "S_c" if side == "column" else "S_r"
     else:
-        if side not in ("column", "row"):
-            raise InvalidInputError(f"unknown side {side!r}")
-        func = SeqS(q, side, seq.space.probs, None)
-    return func.value(seq.values)
+        raise InvalidInputError(f"unknown side {side!r}")
+    return sequence_atom(name, seq, q, q).value(seq.values)
 
 
 def norm_D(seq: LqSequence, p: float, q: float) -> float:
     """( sum_i E ||f_i||_q^p )^(1/p)."""
-    weights = seq.elem_space.weights if seq.elem_space is not None else None
-    return SeqD(p, q, seq.space.probs, weights).value(seq.values)
+    return sequence_atom("D_pq", seq, p, q).value(seq.values)
 
 
 # -- regime selection ----------------------------------------------------------
@@ -210,7 +201,8 @@ class CompositeResult:
     node_values: dict = field(default_factory=dict)
 
 
-def _atom_functional(name: str, seq: LqSequence, p: float, q: float) -> NormFunctional:
+def sequence_atom(name: str, seq: LqSequence, p: float, q: float) -> NormFunctional:
+    """The sequence norm of one atom of a regime tree."""
     weights = seq.elem_space.weights if seq.elem_space is not None else None
     probs = seq.space.probs
     if name == "S":
@@ -226,43 +218,58 @@ def _atom_functional(name: str, seq: LqSequence, p: float, q: float) -> NormFunc
     raise InvalidInputError(f"unknown norm atom {name!r}")
 
 
-def _node_functional(node: NormExpr, seq, p, q) -> NormFunctional:
+def node_functional(node: NormExpr, atom) -> NormFunctional:
+    """Functional of an atom or max node, with atoms built by ``atom(name)``."""
     if node.op == "atom":
-        return _atom_functional(node.name, seq, p, q)
+        return atom(node.name)
     if node.op == "max":
-        return MaxFunctional([_node_functional(c, seq, p, q) for c in node.children])
+        return MaxFunctional([node_functional(c, atom) for c in node.children])
     raise InvalidInputError("sum nodes cannot be nested inside sum children")
 
 
-def composite_norm(seq: LqSequence, spec: RegimeSpec, tol: float = 1e-6, *,
-                   restarts: int = 8, max_iter: int = 5000, seed: int = 0) -> CompositeResult:
-    """Evaluate the regime tree.  Intersections are exact maxima; sums are
-    optimized decompositions (upper bounds on the infimum, within ``tol``
-    relative of the brute-force oracle on small instances)."""
+def evaluate_tree(tree: NormExpr, atom, table: np.ndarray, tol: float, *,
+                  restarts: int, max_iter: int, seed: int):
+    """Value of a regime tree on a coefficient table, atoms built by
+    ``atom(name)``.  Intersections are exact maxima; sums are optimized
+    decompositions (upper bounds on the infimum).
+
+    Returns (value, {node label: value}, [(sum node, DecompositionResult)]
+    in evaluation order).
+    """
     rel_tol = min(1e-7, tol / 10.0)
     node_values: dict = {}
-    certificate: list = []
+    sums: list = []
 
     def eval_node(node: NormExpr) -> float:
         if node.op == "atom":
-            v = _atom_functional(node.name, seq, spec.p, spec.q).value(seq.values)
+            v = atom(node.name).value(table)
         elif node.op == "max":
             v = max(eval_node(c) for c in node.children)
         else:
-            funcs = [_node_functional(c, seq, spec.p, spec.q) for c in node.children]
-            res = minimize_decomposition(seq.values, funcs, restarts=restarts,
+            funcs = [node_functional(c, atom) for c in node.children]
+            res = minimize_decomposition(table, funcs, restarts=restarts,
                                          max_iter=max_iter, rel_tol=rel_tol, seed=seed)
-            if not certificate:
-                parts = [LqSequence(seq.space, part, seq.elem_space) for part in res.parts]
-                labels = tuple(c.label() for c in node.children)
-                certificate.append(Decomposition(seq, parts, labels))
+            sums.append((node, res))
             v = res.value
         node_values[node.label()] = v
         return v
 
-    value = eval_node(spec.tree)
-    cert = certificate[0] if certificate else None
-    if cert is not None:
+    return eval_node(tree), node_values, sums
+
+
+def composite_norm(seq: LqSequence, spec: RegimeSpec, tol: float = 1e-6, *,
+                   restarts: int = 8, max_iter: int = 5000, seed: int = 0) -> CompositeResult:
+    """Evaluate the regime tree on the sequence (see ``evaluate_tree``); sums
+    come within ``tol`` relative of the brute-force oracle on small
+    instances.  The first sum's decomposition is the certificate."""
+    value, node_values, sums = evaluate_tree(
+        spec.tree, lambda name: sequence_atom(name, seq, spec.p, spec.q), seq.values,
+        tol, restarts=restarts, max_iter=max_iter, seed=seed)
+    cert = None
+    if sums:
+        node, res = sums[0]
+        parts = [LqSequence(seq.space, part, seq.elem_space) for part in res.parts]
+        cert = Decomposition(seq, parts, tuple(c.label() for c in node.children))
         cert.validate()
     return CompositeResult(value, cert, node_values)
 

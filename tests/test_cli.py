@@ -58,6 +58,44 @@ def test_invalid_config_exit_code(tmp_path):
     assert main(["suite", "--config", str(missing)]) == 2
 
 
+_ONE_CELL = {"grid": {"time_points": [0.0, 1.0], "marks": [{"label": "A", "measure": 0.5}]},
+             "cells": [{"i": 0, "j": 0, "value": [1.0]}]}
+
+
+@pytest.mark.parametrize("top, job", [
+    ({}, {"check": "matrix_sum", "law": "cauchy"}),
+    ({}, {"check": "latala", "law": {"two_atom": {"prob": 0.3}}}),
+    ({}, {"check": "doob"}),
+    ({}, {"check": "ito_isomorphism", "p": 2.0}),
+    ({}, {"check": "decoupling", "process": dict(_ONE_CELL, bogus=1)}),
+    ({}, {"check": "decoupling", "process": {"file": "no_such_process.json"}}),
+    ({}, {"check": "doob", "process": _ONE_CELL, "n_samples": 1}),
+    ({}, {"check": "matrix_sum", "n_samples": 0}),
+    ({"samples": 1}, {"check": "seginer"}),
+], ids=["unknown-law", "two-atom-without-a", "doob-without-process",
+        "ito-without-family", "process-unknown-key", "missing-process-file",
+        "one-sample", "zero-samples", "one-top-level-sample"])
+def test_config_errors_exit_2(tmp_path, capsys, top, job):
+    # some of these are found only while the job runs (process tables and
+    # files are read then); all exit 2 with a one-line message
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"version": 1, **top, "checks": [job]}))
+    assert main(["suite", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ")
+
+
+def test_type_cotype_rows_are_pinned():
+    # type_cotype is in no default battery or benchmark workload, so no
+    # digest covers its instance streams (q index * 211 + instance); these
+    # are its rows at seed 12345
+    cfg = parse_config({"version": 1, "seed": 12345, "checks": [
+        {"check": "type_cotype", "q": [2.0, 3.0], "instances": 2}]})
+    rows = [(r.q, r.lhs) for r in run_jobs(cfg)]
+    assert rows == [(2.0, 2.0677437519750876), (2.0, 3.136244847466343),
+                    (3.0, 4.636902889744171), (3.0, 3.1753146262991168)]
+
+
 def test_failure_exit_code(tmp_path):
     # an absurdly tight configured band forces a hard failure
     cfg = tmp_path / "fail.json"

@@ -219,8 +219,6 @@ def test_exponent_pair_validation():
         ExponentPair(1.0, 2.0)
     with pytest.raises(InvalidInputError):
         ExponentPair(2.0, math.inf)
-    assert ExponentPair(2.0, 4.0).conjugate().p == pytest.approx(2.0)
-    assert ExponentPair(2.0, 4.0).conjugate().q == pytest.approx(4.0 / 3.0)
 
 
 def test_point_space_scalar():

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from itolab.lq import LqElement, point_space, uniform_space
+from itolab.lq import InvalidInputError, LqElement, point_space, uniform_space
 from itolab.prob import (BudgetExceededError, FiniteProbabilitySpace,
                          RandomLqVariable, centered_poisson_moment,
                          deterministic_variable, exact_moment,
-                         independent_product, philox, product_space,
+                         independent_product, moment_ci, philox, product_space,
                          rademacher_space, sample, sign_matrix, truncated_poisson)
 
 RNG = np.random.default_rng(7)
@@ -215,3 +215,34 @@ def test_philox_key_stability():
     first = g.random(3)
     g2 = philox(123, 5)
     assert np.allclose(first, g2.random(3))
+
+
+def _reference_moment_ci(samples, p):
+    # the delta-method CI as the integrator, the checks and randmat each wrote it
+    pw = samples ** p
+    m = float(pw.mean())
+    sd = float(pw.std(ddof=1)) / math.sqrt(len(pw))
+    lo = max(m - sd, 0.0) ** (1.0 / p)
+    hi = (m + sd) ** (1.0 / p)
+    return m ** (1.0 / p), (hi - lo) / 2.0
+
+
+@pytest.mark.parametrize("n, p", [(2, 2.0), (7, 1.0), (500, 3.0), (4000, 1.5)])
+def test_moment_ci_matches_reference_bit_for_bit(n, p):
+    samples = np.abs(philox(n, 3).standard_normal(n)) * 2.5
+    assert moment_ci(samples, p) == _reference_moment_ci(samples, p)
+
+
+def test_moment_ci_clips_lower_end_at_zero():
+    # mean of X^2 is 25 with standard error 25, so the interval is [0, 50]
+    samples = np.array([0.0, 0.0, 0.0, 10.0])
+    est, half = moment_ci(samples, 2.0)
+    assert (est, half) == _reference_moment_ci(samples, 2.0)
+    assert est == 5.0
+    assert half == pytest.approx(math.sqrt(50.0) / 2.0)
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_moment_ci_needs_two_samples(n):
+    with pytest.raises(InvalidInputError):
+        moment_ci(np.ones(n), 2.0)

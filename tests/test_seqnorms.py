@@ -151,8 +151,9 @@ def test_composite_upper_bounds_every_feasible_decomposition():
     res = composite_norm(seq, spec, tol=1e-5, seed=3)
     k = len(spec.tree.children)
     funcs = [c for c in spec.tree.children]
-    from itolab.seqnorms import _node_functional
-    fns = [_node_functional(c, seq, 1.5, 1.8) for c in funcs]
+    from itolab.seqnorms import node_functional, sequence_atom
+    fns = [node_functional(c, lambda name: sequence_atom(name, seq, 1.5, 1.8))
+           for c in funcs]
     for trial in range(100):
         parts = gen.standard_normal((k,) + seq.values.shape) \
             + 1j * gen.standard_normal((k,) + seq.values.shape)
