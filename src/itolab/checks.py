@@ -122,18 +122,8 @@ def rademacher_sum_moment(xs: list[LqElement], p: float, q: float) -> float:
 
 def square_function_sides(xs: list[LqElement], q: float) -> tuple[float, float]:
     """(column, row) square-function norms of deterministic elements."""
-    if xs[0].kind == "commutative":
-        sq = np.zeros(xs[0].shape[0])
-        for x in xs:
-            sq += np.abs(x.values) ** 2
-        v = float((xs[0].space.weights * sq ** (q / 2.0)).sum() ** (1.0 / q))
-        return v, v
-    col = sum(x.values.conj().T @ x.values for x in xs)
-    row = sum(x.values @ x.values.conj().T for x in xs)
-    def half_norm(M):
-        eig = np.clip(np.linalg.eigvalsh(M), 0.0, None)
-        return float((eig ** (q / 2.0)).sum() ** (1.0 / q))
-    return half_norm(col), half_norm(row)
+    seq = LqSequence.deterministic(xs)
+    return norm_S(seq, q, "column"), norm_S(seq, q, "row")
 
 
 def randomized_sum_moment(seq: LqSequence, p: float, q: float) -> float:
@@ -396,10 +386,8 @@ def check_type_cotype(xs: list[LqElement], q: float, *, seed: int | None = None)
     s_type = min(q, 2.0)
     s_cotype = max(q, 2.0)
     m2 = rademacher_sum_moment(xs, 2.0, q)
-    weights = xs[0].space.weights if xs[0].kind == "commutative" else None
-    norms = batch_norm_q(np.stack([x.values for x in xs]), q, weights)
-    ell_type = float((norms ** s_type).sum() ** (1.0 / s_type))
-    ell_cotype = float((norms ** s_cotype).sum() ** (1.0 / s_cotype))
+    seq = LqSequence.deterministic(xs)
+    ell_type, ell_cotype = norm_D(seq, s_type, q), norm_D(seq, s_cotype, q)
     type_ratio = m2 / ell_type if ell_type > 0 else 0.0
     cotype_ratio = ell_cotype / m2 if m2 > 0 else 0.0
     return CheckReport("type_cotype", m2, ell_type, math.nan, MEASURED, REPORT_ONLY,

@@ -49,10 +49,16 @@ _CONSTANT_KEYS = {"hj_factor", "rosenthal_factor", "umd_constant", "latala_const
                   "ito_band"}
 
 
-def _reject_unknown(obj: dict, allowed: set, where: str):
+def _reject_unknown(obj: dict, allowed: set, where: str, required=()):
+    """ConfigError unless ``obj`` is an object of ``allowed`` and ``required`` keys."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where} must be an object")
     unknown = set(obj) - allowed
     if unknown:
         raise ConfigError(f"unknown keys {sorted(unknown)} in {where}")
+    missing = sorted(set(required) - set(obj))
+    if missing:
+        raise ConfigError(f"missing keys {missing} in {where}")
 
 
 @dataclass(eq=False)
@@ -124,10 +130,12 @@ def _parse_values(v, kind: str) -> np.ndarray:
 def process_from_table(obj: dict, base_dir: str = ".") -> SimpleAdaptedProcess:
     """Build a deterministic process from its grid and cell table."""
     obj = _resolve_file(obj, base_dir)
-    _reject_unknown(obj, {"grid", "cells", "element"}, "process")
+    _reject_unknown(obj, {"grid", "cells", "element"}, "process", {"grid", "cells"})
     grid_raw = obj["grid"]
-    _reject_unknown(grid_raw, {"time_points", "marks"}, "process.grid")
+    _reject_unknown(grid_raw, {"time_points", "marks"}, "process.grid", {"time_points", "marks"})
     marks = grid_raw["marks"]
+    for m in marks:
+        _reject_unknown(m, {"label", "measure"}, "process.grid.marks[]", {"label", "measure"})
     labels = tuple(m["label"] for m in marks)
     measures = np.array([float(m["measure"]) for m in marks])
     grid = GridPartition(np.asarray(grid_raw["time_points"], dtype=float),
@@ -137,7 +145,7 @@ def process_from_table(obj: dict, base_dir: str = ".") -> SimpleAdaptedProcess:
     kind = elem_spec.get("kind", "matrix")
     cells = {}
     for cell in obj["cells"]:
-        _reject_unknown(cell, {"i", "j", "value"}, "process.cells[]")
+        _reject_unknown(cell, {"i", "j", "value"}, "process.cells[]", {"i", "j", "value"})
         cells[(int(cell["i"]), int(cell["j"]))] = _parse_values(cell["value"], kind)
     return deterministic_process(grid, cells, es)
 
@@ -344,9 +352,9 @@ CHECKS = {
 def resolve_check(job, where: str):
     """(runner, job with defaults filled in) for one job of a config.
 
-    ConfigError on an unknown check id, an unknown or missing key, an entry
-    law that is not one of the known laws, or fewer than 2 Monte Carlo
-    samples.
+    ConfigError on an unknown check id, an unknown or missing key, a
+    ``lambda_grid`` other than an object of num, lo and hi, an entry law that
+    is not one of the known laws, or fewer than 2 Monte Carlo samples.
     """
     if not isinstance(job, dict) or "check" not in job:
         raise ConfigError(f"{where} must be an object with a \"check\" key")
@@ -355,10 +363,9 @@ def resolve_check(job, where: str):
         raise ConfigError(f"unknown check id {cid!r}")
     keys, run = CHECKS[cid]
     where = f"{where} ({cid})"
-    _reject_unknown(job, {"check", *keys}, where)
-    missing = sorted(k for k, v in keys.items() if v is REQUIRED and k not in job)
-    if missing:
-        raise ConfigError(f"missing keys {missing} in {where}")
+    _reject_unknown(job, {"check", *keys}, where, [k for k, v in keys.items() if v is REQUIRED])
+    if "lambda_grid" in job:
+        _reject_unknown(job["lambda_grid"], {"num", "lo", "hi"}, f"lambda_grid in {where}")
     if "n_samples" in job:
         _sample_count(job["n_samples"], f"n_samples in {where}")
     if "law" in job:

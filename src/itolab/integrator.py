@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lq import FiniteMeasureSpace, InvalidInputError, LqElement
-from .normfuncs import ProcDpq, ProcDqq, ProcS
+from .normfuncs import norm_atom
 from .poisson import GridPartition, PoissonFieldRealization
 from .prob import (ProductSpace, RandomLqVariable, moment_ci, philox, product_space,
                    truncated_poisson)
@@ -417,24 +417,11 @@ def process_norm(F: SimpleAdaptedProcess, t: float, B, p: float, q: float,
     weights = F.elem_space.weights if F.elem_space is not None else None
     mode = "commutative" if F.elem_space is not None else "noncommutative"
 
-    def atom_func(name: str):
-        if name == "S":
-            return ProcS(p, q, "column", lam, probs, weights)
-        if name == "S_c":
-            return ProcS(p, q, "column", lam, probs, None)
-        if name == "S_r":
-            return ProcS(p, q, "row", lam, probs, None)
-        if name == "D_qq":
-            return ProcDqq(p, q, lam, probs, weights)
-        if name == "D_pq":
-            return ProcDpq(p, q, lam, probs, weights)
-        raise InvalidInputError(name)
-
     if which != "I_regime":
-        return atom_func(which).value(y)
+        return norm_atom(which, p, q, probs, weights, lam).value(y)
     spec = regime_select(p, q, mode)
-    return evaluate_tree(spec.tree, atom_func, y, tol, restarts=restarts,
-                         max_iter=max_iter, seed=seed)[0]
+    return evaluate_tree(spec.tree, lambda name: norm_atom(name, p, q, probs, weights, lam), y,
+                         tol, restarts=restarts, max_iter=max_iter, seed=seed)[0]
 
 
 # -- decoupling construction ----------------------------------------------------

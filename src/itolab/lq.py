@@ -155,12 +155,18 @@ def conjugate_exponent(p: float) -> float:
 #
 # These accept values with arbitrary leading axes so exact enumeration over
 # probability atoms stays vectorized.  The matrix path follows the Hermitian
-# route: eigenvalues of x*x clamped at 0 before the square root.
+# route: eigenvalues of x*x clamped at 0 before the square root.  Each matrix
+# is first divided by a power of two near its largest entry, so its Gram
+# matrix neither underflows nor overflows, and the singular values are
+# multiplied back by it; powers of two scale without rounding.
 
 
 def singular_values(values: np.ndarray) -> np.ndarray:
     """Singular values (descending) of matrices in the last two axes."""
     x = np.asarray(values, dtype=complex)
+    # 2^e with |entries| < 2^e, and 1 for an all-zero matrix
+    scale = np.ldexp(1.0, np.frexp(np.abs(x).max(axis=(-2, -1)))[1])[..., None]
+    x = x / scale[..., None]
     d1, d2 = x.shape[-2], x.shape[-1]
     if d1 >= d2:
         gram = np.swapaxes(x, -1, -2).conj() @ x
@@ -168,7 +174,7 @@ def singular_values(values: np.ndarray) -> np.ndarray:
         gram = x @ np.swapaxes(x, -1, -2).conj()
     eig = np.linalg.eigvalsh(gram)
     eig = np.clip(eig, 0.0, None)
-    return np.sqrt(eig[..., ::-1])
+    return np.sqrt(eig[..., ::-1]) * scale
 
 
 def _power_sum(vals: np.ndarray, weights, q: float) -> np.ndarray:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .lq import (ExponentPair, FiniteMeasureSpace, InvalidInputError, LqElement,
                  batch_norm_q, conjugate_exponent)
-from .normfuncs import SeqD, SeqS
+from .normfuncs import norm_atom
 from .prob import FiniteProbabilitySpace, RandomLqVariable
 from .sumopt import MaxFunctional, NormFunctional, minimize_decomposition
 
@@ -86,13 +86,9 @@ class LqSequence:
 
 def norm_S(seq: LqSequence, q: float, side: str = "column") -> float:
     """|| (sum_i E modulus_square(f_i, side))^(1/2) ||_q, exact expectation."""
-    if seq.kind == "commutative":
-        name = "S"
-    elif side in ("column", "row"):
-        name = "S_c" if side == "column" else "S_r"
-    else:
+    if side not in ("column", "row"):
         raise InvalidInputError(f"unknown side {side!r}")
-    return sequence_atom(name, seq, q, q).value(seq.values)
+    return sequence_atom("S_c" if side == "column" else "S_r", seq, q, q).value(seq.values)
 
 
 def norm_D(seq: LqSequence, p: float, q: float) -> float:
@@ -204,18 +200,7 @@ class CompositeResult:
 def sequence_atom(name: str, seq: LqSequence, p: float, q: float) -> NormFunctional:
     """The sequence norm of one atom of a regime tree."""
     weights = seq.elem_space.weights if seq.elem_space is not None else None
-    probs = seq.space.probs
-    if name == "S":
-        return SeqS(q, "column", probs, weights)
-    if name == "S_c":
-        return SeqS(q, "column", probs, None)
-    if name == "S_r":
-        return SeqS(q, "row", probs, None)
-    if name == "D_qq":
-        return SeqD(q, q, probs, weights)
-    if name == "D_pq":
-        return SeqD(p, q, probs, weights)
-    raise InvalidInputError(f"unknown norm atom {name!r}")
+    return norm_atom(name, p, q, seq.space.probs, weights)
 
 
 def node_functional(node: NormExpr, atom) -> NormFunctional:

@@ -72,9 +72,19 @@ _ONE_CELL = {"grid": {"time_points": [0.0, 1.0], "marks": [{"label": "A", "measu
     ({}, {"check": "doob", "process": _ONE_CELL, "n_samples": 1}),
     ({}, {"check": "matrix_sum", "n_samples": 0}),
     ({"samples": 1}, {"check": "seginer"}),
+    ({}, {"check": "decoupling", "process": {"cells": []}}),
+    ({}, {"check": "decoupling", "process": {"grid": _ONE_CELL["grid"]}}),
+    ({}, {"check": "decoupling", "process": dict(_ONE_CELL, grid={
+        "time_points": [0.0, 1.0], "marks": [{"measure": 0.5}]})}),
+    ({}, {"check": "decoupling", "process": dict(_ONE_CELL, grid={
+        "time_points": [0.0, 1.0], "marks": [{"label": "A"}]})}),
+    ({}, {"check": "poisson_moment_bounds", "p": 2, "lambda_grid": {"nmu": 5}}),
+    ({}, {"check": "poisson_moment_bounds", "p": 2, "lambda_grid": [5, 1e-4, 1.0]}),
 ], ids=["unknown-law", "two-atom-without-a", "doob-without-process",
         "ito-without-family", "process-unknown-key", "missing-process-file",
-        "one-sample", "zero-samples", "one-top-level-sample"])
+        "one-sample", "zero-samples", "one-top-level-sample", "process-without-grid",
+        "process-without-cells", "mark-without-label", "mark-without-measure",
+        "lambda-grid-unknown-key", "lambda-grid-list"])
 def test_config_errors_exit_2(tmp_path, capsys, top, job):
     # some of these are found only while the job runs (process tables and
     # files are read then); all exit 2 with a one-line message

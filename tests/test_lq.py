@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from itolab.lq import (ExponentPair, FiniteMeasureSpace, InvalidInputError,
                        LqElement, as_weighted_diagonal, conjugate_exponent,
                        decreasing_rearrangement, embed, modulus_square, norm_q,
-                       pair, point_space, uniform_space)
+                       pair, point_space, singular_values, uniform_space)
 
 RNG = np.random.default_rng(20240817)
 
@@ -48,6 +48,18 @@ def test_norm_infinite_q():
     assert norm_q(x, math.inf) == pytest.approx(4.0)
     f = LqElement(np.array([1.0, -5.0, 2.0]), uniform_space(3))
     assert norm_q(f, math.inf) == pytest.approx(5.0)
+
+
+def test_singular_values_scale_exactly_by_powers_of_two():
+    # the Gram route squares the entries: without its power-of-two prescale
+    # 2^-565 (about 1e-170) would square to 0 and 2^600 to inf
+    x = random_matrix(2, 3).values
+    base = singular_values(x)
+    for k in (-565, -300, 300, 600):
+        assert np.array_equal(singular_values(x * 2.0 ** k), base * 2.0 ** k)
+    both = singular_values(np.stack([x, x * 2.0 ** -565]))
+    assert np.array_equal(both, np.stack([base, base * 2.0 ** -565]))
+    assert np.array_equal(singular_values(np.zeros((2, 2))), np.zeros(2))
 
 
 def test_norm_rejects_bad_input():

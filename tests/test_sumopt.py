@@ -49,7 +49,7 @@ def test_value_grad_rows_are_independent(elem, pq, name):
         np.testing.assert_allclose(vals[b], v1[0], rtol=1e-13, atol=0.0)
         np.testing.assert_allclose(grads[b], g1[0], rtol=1e-13,
                                    atol=1e-13 * np.abs(g1).max())
-    for b in range(3):   # ``value`` squares row 3 through a Gram matrix, which underflows
+    for b in range(4):
         np.testing.assert_allclose(vals[b], f.value(U[b]), rtol=1e-12, atol=0.0)
 
 
