@@ -167,6 +167,10 @@ def _sample_count(n, where: str) -> int:
     return k
 
 
+def _real(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _stream(job_index: int, tag: str, k: int = 0) -> int:
     return (zlib.crc32(f"{tag}:{job_index}:{k}".encode()) & 0xFFFFFFFF) | (k << 32)
 
@@ -354,7 +358,9 @@ def resolve_check(job, where: str):
 
     ConfigError on an unknown check id, an unknown or missing key, a
     ``lambda_grid`` other than an object of num, lo and hi, an entry law that
-    is not one of the known laws, or fewer than 2 Monte Carlo samples.
+    is not one of the known laws, fewer than 2 Monte Carlo samples, a d1, d2,
+    n or d that is not an integer >= 1, an ``a`` that is not a non-empty 2-D
+    array of numbers, or a ``matrix_sum`` or ``matrix_entries`` p below 2.
     """
     if not isinstance(job, dict) or "check" not in job:
         raise ConfigError(f"{where} must be an object with a \"check\" key")
@@ -370,4 +376,16 @@ def resolve_check(job, where: str):
         _sample_count(job["n_samples"], f"n_samples in {where}")
     if "law" in job:
         _law_from(job["law"])
-    return run, {**keys, **job}
+    job = {**keys, **job}
+    for k in ("d1", "d2", "n", "d"):
+        v = job.get(k, 1)
+        if not (_real(v) and v >= 1 and v % 1 == 0 or k == "d2" and v is None):
+            raise ConfigError(f"{k} in {where} must be an integer of at least 1, got {v!r}")
+    a = job.get("a")
+    if a is not None and not (isinstance(a, list) and a and all(
+            isinstance(r, list) and len(r) == len(a[0]) > 0 and all(map(_real, r)) for r in a)):
+        raise ConfigError(f"a in {where} must be a non-empty 2-D array of numbers, got {a!r}")
+    for p in _as_list(job["p"]) if cid in ("matrix_sum", "matrix_entries") else ():
+        if not (_real(p) and p >= 2):
+            raise ConfigError(f"p in {where} must be a number of at least 2, got {p!r}")
+    return run, job

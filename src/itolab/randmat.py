@@ -12,14 +12,16 @@ function terms at 2.  The entrywise corollary replaces the square functions
 by row/column second-moment maxima.  Latala's first-moment bound and the
 rank-one extremal ensemble are recorded report-only for comparison.
 
-Exact enumeration is used when the total entry-configuration count stays
-below 2^22, otherwise Monte Carlo with CI-widened thresholds.
+Exact enumeration is used when the total entry-configuration count is at
+most 2^22, otherwise Monte Carlo with CI-widened thresholds.  Either way an
+ensemble's operator-norm law (sum and largest-summand norms per configuration
+with its probability, or per draw) is computed once; each moment reduces it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -67,12 +69,16 @@ class EntryLaw:
         # standard normal absolute moments: 2^(r/2) Gamma((r+1)/2) / sqrt(pi)
         return 2.0 ** (r / 2.0) * math.gamma((r + 1.0) / 2.0) / math.sqrt(math.pi)
 
+    def sample_indices(self, gen: np.random.Generator, shape) -> np.ndarray:
+        """Atom indices of iid draws from a discrete law."""
+        cum = np.cumsum(self.probs)
+        cum[-1] = 1.0
+        idx = np.searchsorted(cum, gen.random(shape), side="right")
+        return np.minimum(idx, len(self.atoms) - 1)
+
     def sample(self, gen: np.random.Generator, shape) -> np.ndarray:
         if self.is_discrete:
-            cum = np.cumsum(self.probs)
-            cum[-1] = 1.0
-            idx = np.searchsorted(cum, gen.random(shape), side="right")
-            return self.atoms[np.minimum(idx, len(self.atoms) - 1)]
+            return self.atoms[self.sample_indices(gen, shape)]
         return gen.standard_normal(shape)
 
 
@@ -105,6 +111,7 @@ class MatrixEnsemble:
     law: EntryLaw
     structure: str = "summand"
     scale: np.ndarray | None = None
+    _laws: dict = field(default_factory=dict, init=False, repr=False)  # see _norm_law
 
     def __post_init__(self):
         if self.structure not in ("summand", "entries"):
@@ -138,37 +145,83 @@ def _operator_norms(mats: np.ndarray) -> np.ndarray:
     return np.linalg.svd(mats, compute_uv=False)[..., 0]
 
 
+def _summand_table(ens: MatrixEnsemble, replaced: int) -> np.ndarray | None:
+    """Operator norm of each distinct summand of a discrete law by pattern code;
+    None for one summand or where it is not smaller than ``replaced``."""
+    atoms, k = ens.law.atoms, ens.d1 * ens.d2
+    if ens.n == 1 or atoms is None or len(atoms) ** k >= replaced:
+        return None
+    pattern = (np.arange(len(atoms) ** k)[:, None] // len(atoms) ** np.arange(k)) % len(atoms)
+    return _operator_norms(atoms[pattern].reshape(-1, ens.d1, ens.d2) * ens.scale_matrix)
+
+
+def _law_chunk(ens: MatrixEnsemble, vals: np.ndarray, idx, table) -> tuple:
+    """(singular values of each sum, largest summand norm) of summands ``vals``
+    (B, n, d1, d2); a table is read at the pattern codes of atom indices ``idx``."""
+    sv = np.linalg.svd(vals.sum(axis=1), compute_uv=False)
+    if ens.n == 1:
+        return sv, np.ascontiguousarray(sv[:, 0])
+    if table is None:
+        return sv, _operator_norms(vals).max(axis=1)
+    place = len(ens.law.atoms) ** np.arange(ens.d1 * ens.d2)
+    return sv, table[idx.reshape(len(vals), ens.n, -1) @ place].max(axis=1)
+
+
+def _norm_law(ens: MatrixEnsemble, n_samples: int | None = None, seed: int = 0,
+              stream: int = 0) -> list:
+    """Chunks (sum singular values, largest summand norm, probabilities) over
+    every entry configuration in enumeration order when ``n_samples`` is None,
+    else one chunk of draws from Philox (seed, stream) with probabilities
+    None.  Memoised on the ensemble by (n_samples, seed, stream)."""
+    key = (n_samples, seed, stream)
+    if key in ens._laws:
+        return ens._laws[key]
+    law, size = ens.law, (ens.n, ens.d1, ens.d2)
+    batch = len(law.atoms) ** ens.entry_count() if n_samples is None else n_samples
+    table = _summand_table(ens, batch * ens.n)
+    if n_samples is None:
+        na = len(law.atoms)
+        digits = na ** np.arange(ens.entry_count())
+        chunks = []
+        for start in range(0, batch, _CHUNK):
+            config = (np.arange(start, min(start + _CHUNK, batch))[:, None] // digits) % na
+            vals = law.atoms[config].reshape(-1, *size) * ens.scale_matrix
+            chunks.append((*_law_chunk(ens, vals, config, table),
+                           law.probs[config].prod(axis=1)))
+    else:
+        gen, shape = philox(seed, stream), (n_samples, *size)
+        idx = None if table is None else law.sample_indices(gen, shape)
+        vals = (law.sample(gen, shape) if idx is None else law.atoms[idx]) * ens.scale_matrix
+        chunks = [(*_law_chunk(ens, vals, idx, table), None)]
+    ens._laws[key] = chunks
+    return chunks
+
+
 def _enumerate_stats(ens: MatrixEnsemble, p: float) -> tuple[float, float]:
-    """Exact ((E ||sum||^p)^(1/p), (E max_i ||xi_i||^p)^(1/p)) by chunked
-    enumeration of every entry configuration."""
-    atoms, probs = ens.law.atoms, ens.law.probs
-    na = len(atoms)
-    m = ens.entry_count()
-    total = na ** m
-    scale = ens.scale_matrix
-    sum_pow = 0.0
-    max_pow = 0.0
-    digits = na ** np.arange(m)
-    for start in range(0, total, _CHUNK):
-        idxs = np.arange(start, min(start + _CHUNK, total))
-        config = (idxs[:, None] // digits[None, :]) % na
-        vals = atoms[config].reshape(-1, ens.n, ens.d1, ens.d2) * scale
-        pr = probs[config].prod(axis=1)
-        norms = _operator_norms(vals)
-        sums = vals.sum(axis=1)
-        sum_pow += float((pr * _operator_norms(sums) ** p).sum())
-        max_pow += float((pr * norms.max(axis=1) ** p).sum())
+    """Exact ((E ||sum||^p)^(1/p), (E max_i ||xi_i||^p)^(1/p))."""
+    sum_pow = max_pow = 0.0
+    for sv, top, pr in _norm_law(ens):
+        sum_pow += float((pr * sv[:, 0] ** p).sum())
+        max_pow += float((pr * top ** p).sum())
     return sum_pow ** (1.0 / p), max_pow ** (1.0 / p)
 
 
-def _sample_stats(ens: MatrixEnsemble, p: float, n_samples: int, seed: int,
-                  stream: int = 0):
+def _sample_stats(ens: MatrixEnsemble, p: float, n_samples: int, seed: int, stream: int):
     """Monte Carlo ((est, ci), (est, ci)) for the same two statistics."""
-    gen = philox(seed, stream)
-    vals = ens.law.sample(gen, (n_samples, ens.n, ens.d1, ens.d2)) * ens.scale_matrix
-    norms = _operator_norms(vals)
-    sums = _operator_norms(vals.sum(axis=1))
-    return moment_ci(sums, p), moment_ci(norms.max(axis=1), p)
+    (sv, top, _), = _norm_law(ens, n_samples, seed, stream)
+    return moment_ci(sv[:, 0], p), moment_ci(top, p)
+
+
+def _moments(ens: MatrixEnsemble, p: float, n_samples: int, seed: int, stream: int,
+             exact: bool = True):
+    """((sum moment, CI), (max-summand moment, CI), Monte Carlo?): exact with
+    CI 0 where allowed and feasible, else from Philox (seed, stream) with CI
+    half-widths widened to 3 sigma."""
+    if exact and ens.exact_feasible():
+        lhs, emax = _enumerate_stats(ens, p)
+        return (lhs, 0.0), (emax, 0.0), False
+    (lhs, lhs_ci), (emax, emax_ci) = _sample_stats(ens, p, n_samples, seed, stream)
+    return (lhs, lhs_ci * 3.0), (emax, emax_ci * 3.0), True
 
 
 def _square_terms(ens: MatrixEnsemble) -> tuple[float, float]:
@@ -190,15 +243,7 @@ def bound_matrix_sum(ens: MatrixEnsemble, p: float, *, n_samples: int = 10_000,
     if p < 2:
         raise InvalidInputError("the sum bound needs p >= 2")
     col, row = _square_terms(ens)
-    if ens.exact_feasible() and not force_mc:
-        lhs, emax = _enumerate_stats(ens, p)
-        lhs_ci = emax_ci = 0.0
-        mc = False
-    else:
-        (lhs, lhs_ci), (emax, emax_ci) = _sample_stats(ens, p, n_samples, seed)
-        lhs_ci *= 3.0
-        emax_ci *= 3.0
-        mc = True
+    (lhs, lhs_ci), (emax, emax_ci), mc = _moments(ens, p, n_samples, seed, 0, not force_mc)
     cpd = c_pd(p, ens.d)
     cpd_half = c_pd(p / 2.0, ens.d)
     rhs = 2.0 * (1.0 + math.sqrt(2.0)) * cpd * max(col, row, 2.0 * cpd_half * emax)
@@ -207,9 +252,8 @@ def bound_matrix_sum(ens: MatrixEnsemble, p: float, *, n_samples: int = 10_000,
                                       2.0 * cpd_half * emax_ci) + slack
     rev = 2.0 ** (1.0 + 1.0 / p)
     ok_rev_max = emax - emax_ci <= rev * (lhs + lhs_ci) + slack
-    ok_rev_col = col <= 2.0 * (lhs + lhs_ci) + slack
-    ok_rev_row = row <= 2.0 * (lhs + lhs_ci) + slack
-    ok = ok_upper and ok_rev_max and ok_rev_col and ok_rev_row
+    ok_rev_square = max(col, row) <= 2.0 * (lhs + lhs_ci) + slack
+    ok = ok_upper and ok_rev_max and ok_rev_square
     details = {"column": col, "row": row, "max_term": emax, "C_pd": cpd,
                "C_p2d": cpd_half, "monte_carlo": mc, "lhs_ci": lhs_ci,
                "max_ci": emax_ci, "reverse_constant": rev,
@@ -223,17 +267,12 @@ def _entry_max_moment(ens: MatrixEnsemble, p: float, n_samples: int, seed: int):
     """(E max_ij |x_ij|^p)^(1/p): exact via the product CDF for discrete laws."""
     scale = ens.scale_matrix
     if ens.law.is_discrete:
-        support = {}
-        for (i, j), s in np.ndenumerate(scale):
-            for a, pr in zip(ens.law.atoms, ens.law.probs):
-                v = abs(a * s)
-                support.setdefault((i, j), []).append((v, pr))
-        levels = sorted({v for pairs in support.values() for v, _ in pairs})
-        cdf_prev = 0.0
-        total = 0.0
-        for v in levels:
+        support = [[(abs(a * s), pr) for a, pr in zip(ens.law.atoms, ens.law.probs)]
+                   for s in scale.flat]
+        cdf_prev = total = 0.0
+        for v in sorted({v for pairs in support for v, _ in pairs}):
             cdf = 1.0
-            for pairs in support.values():
+            for pairs in support:
                 cdf *= sum(pr for w, pr in pairs if w <= v)
             total += v ** p * (cdf - cdf_prev)
             cdf_prev = cdf
@@ -253,14 +292,7 @@ def bound_entry_matrix(ens: MatrixEnsemble, p: float, *, n_samples: int = 10_000
         raise InvalidInputError("the entry bound needs p >= 2")
     col, row = _square_terms(ens)
     emax, emax_ci = _entry_max_moment(ens, p, n_samples, seed)
-    if ens.exact_feasible() and not force_mc:
-        lhs, _ = _enumerate_stats(ens, p)
-        lhs_ci = 0.0
-        mc = False
-    else:
-        (lhs, lhs_ci), _ = _sample_stats(ens, p, n_samples, seed, stream=1)
-        lhs_ci *= 3.0
-        mc = True
+    (lhs, lhs_ci), _, mc = _moments(ens, p, n_samples, seed, 1, not force_mc)
     cpd = c_pd(p, ens.d)
     cpd_half = c_pd(p / 2.0, ens.d)
     constant = 2.0 * (1.0 + math.sqrt(2.0)) * cpd
@@ -290,12 +322,8 @@ def bound_latala(ens: MatrixEnsemble, p: float, *, n_samples: int = 10_000,
     r_col, r_row = _square_terms(ens)
     fourth = float((ens.law.abs_moment(4.0) * ens.scale_matrix ** 4).sum()) ** 0.25
     base = r_row + r_col + fourth
-    if ens.exact_feasible():
-        first, _ = _enumerate_stats(ens, 1.0)
-        lhs_p, _ = _enumerate_stats(ens, p)
-    else:
-        (first, _), _ = _sample_stats(ens, 1.0, n_samples, seed, stream=2)
-        (lhs_p, _), _ = _sample_stats(ens, p, n_samples, seed, stream=2)
+    (first, _), _, _ = _moments(ens, 1.0, n_samples, seed, 2)
+    (lhs_p, _), _, _ = _moments(ens, p, n_samples, seed, 2)
     emax, _ = _entry_max_moment(ens, p, n_samples, seed)
     shape = p / math.log(max(p, 1.0 + 1e-9))
     moment_rhs = shape * (base + emax)
@@ -319,19 +347,13 @@ def seginer_ensemble(a: np.ndarray, p: float, *, n_samples: int = 10_000,
     a = np.asarray(a, dtype=float)
     d1, d2 = a.shape
     ens = MatrixEnsemble(d1, d2, 1, rademacher_law(), "entries", a)
-    if ens.exact_feasible():
-        lhs, _ = _enumerate_stats(ens, p)
-        mc = False
-    else:
-        (lhs, _), _ = _sample_stats(ens, p, n_samples, seed, stream=3)
-        mc = True
+    (lhs, _), _, mc = _moments(ens, p, n_samples, seed, 3)
     base = max(_square_terms(ens))
     d = min(d1, d2)
     ref = math.log(d) ** 0.25 if d >= 2 else 1.0
     ratio = lhs / base if base > 0 else math.nan
-    note = ""
-    if p > 2.0 * math.log(max(d1, d2, 2)):
-        note = "p beyond the stated range; recorded anyway"
+    note = ("p beyond the stated range; recorded anyway"
+            if p > 2.0 * math.log(max(d1, d2, 2)) else "")
     return CheckReport("seginer", lhs, base, math.nan, MEASURED, REPORT_ONLY,
                        p=p, q=None, seed=seed,
                        details={"ratio": ratio, "normalized": ratio / ref,

@@ -80,11 +80,19 @@ _ONE_CELL = {"grid": {"time_points": [0.0, 1.0], "marks": [{"label": "A", "measu
         "time_points": [0.0, 1.0], "marks": [{"label": "A"}]})}),
     ({}, {"check": "poisson_moment_bounds", "p": 2, "lambda_grid": {"nmu": 5}}),
     ({}, {"check": "poisson_moment_bounds", "p": 2, "lambda_grid": [5, 1e-4, 1.0]}),
+    ({}, {"check": "seginer", "a": [1, 2]}),
+    ({}, {"check": "matrix_sum", "d1": 0}),
+    ({}, {"check": "matrix_sum", "n": 0}),
+    ({}, {"check": "matrix_entries", "d1": -1}),
+    ({}, {"check": "matrix_sum", "p": 1.5}),
+    ({}, {"check": "matrix_entries", "p": 1.5}),
 ], ids=["unknown-law", "two-atom-without-a", "doob-without-process",
         "ito-without-family", "process-unknown-key", "missing-process-file",
         "one-sample", "zero-samples", "one-top-level-sample", "process-without-grid",
         "process-without-cells", "mark-without-label", "mark-without-measure",
-        "lambda-grid-unknown-key", "lambda-grid-list"])
+        "lambda-grid-unknown-key", "lambda-grid-list", "seginer-1d-a",
+        "matrix-sum-zero-d1", "matrix-sum-zero-n", "entries-negative-d1",
+        "matrix-sum-p-below-2", "entries-p-below-2"])
 def test_config_errors_exit_2(tmp_path, capsys, top, job):
     # some of these are found only while the job runs (process tables and
     # files are read then); all exit 2 with a one-line message

@@ -1,11 +1,15 @@
 import math
+import runpy
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from itolab import randmat
 from itolab.checks import ConstantTable
 from itolab.lq import LqElement, embed, norm_q
-from itolab.prob import philox
+from itolab.prob import moment_ci, philox
 from itolab.randmat import (EntryLaw, MatrixEnsemble, bound_entry_matrix,
                             bound_latala, bound_matrix_sum, gaussian_law,
                             rademacher_law, seginer_ensemble, two_atom_law)
@@ -191,3 +195,148 @@ def test_sampled_status_stable_across_seeds():
     r1 = bound_matrix_sum(ens, 2.0, n_samples=3000, seed=1)
     r2 = bound_matrix_sum(ens, 2.0, n_samples=3000, seed=999)
     assert r1.status == r2.status == "pass"
+
+
+# -- the operator-norm law against a per-moment reference ------------------------
+#
+# _ref_enumerate_stats and _ref_sample_stats are the per-moment statistics as
+# they were before the law was computed once per ensemble: every moment
+# enumerates or samples again and every summand gets its own SVD.  Patched in
+# for the module's own, they give the reference reports of the public entry
+# points, which must match bit for bit.
+
+
+def _ref_enumerate_stats(ens, p):
+    atoms, probs = ens.law.atoms, ens.law.probs
+    na = len(atoms)
+    m = ens.entry_count()
+    total = na ** m
+    scale = ens.scale_matrix
+    sum_pow = 0.0
+    max_pow = 0.0
+    digits = na ** np.arange(m)
+    for start in range(0, total, randmat._CHUNK):
+        idxs = np.arange(start, min(start + randmat._CHUNK, total))
+        config = (idxs[:, None] // digits[None, :]) % na
+        vals = atoms[config].reshape(-1, ens.n, ens.d1, ens.d2) * scale
+        pr = probs[config].prod(axis=1)
+        norms = np.linalg.svd(vals, compute_uv=False)[..., 0]
+        sums = vals.sum(axis=1)
+        sum_pow += float((pr * np.linalg.svd(sums, compute_uv=False)[..., 0] ** p).sum())
+        max_pow += float((pr * norms.max(axis=1) ** p).sum())
+    return sum_pow ** (1.0 / p), max_pow ** (1.0 / p)
+
+
+def _ref_sample(law, gen, shape):
+    if law.is_discrete:
+        cum = np.cumsum(law.probs)
+        cum[-1] = 1.0
+        idx = np.searchsorted(cum, gen.random(shape), side="right")
+        return law.atoms[np.minimum(idx, len(law.atoms) - 1)]
+    return gen.standard_normal(shape)
+
+
+def _ref_sample_stats(ens, p, n_samples, seed, stream=0):
+    gen = philox(seed, stream)
+    vals = _ref_sample(ens.law, gen, (n_samples, ens.n, ens.d1, ens.d2)) * ens.scale_matrix
+    norms = np.linalg.svd(vals, compute_uv=False)[..., 0]
+    sums = np.linalg.svd(vals.sum(axis=1), compute_uv=False)[..., 0]
+    return moment_ci(sums, p), moment_ci(norms.max(axis=1), p)
+
+
+PS = (2.0, 3.0, 3.7, 4.5)
+LAWS = {"rademacher": rademacher_law, "two_atom": lambda: two_atom_law(2.0, 0.3),
+        "gaussian": gaussian_law}
+SCALE = np.array([[1.0, 0.0], [0.5, -2.0]])
+
+
+def _bits(rep):
+    # repr of a float round-trips, so equal reprs are equal bits
+    return repr((rep.lhs, rep.rhs, rep.details))
+
+
+def _with_reference(monkeypatch, run):
+    got = run()
+    with monkeypatch.context() as mp:
+        mp.setattr(randmat, "_enumerate_stats", _ref_enumerate_stats)
+        mp.setattr(randmat, "_sample_stats", _ref_sample_stats)
+        want = run()
+    assert got == want
+
+
+SUM_GRID = [(law, d1, d2, n, None) for law, d1, d2 in (
+    ("rademacher", 1, 3), ("two_atom", 2, 2), ("rademacher", 2, 3), ("gaussian", 3, 2),
+    ("two_atom", 3, 2)) for n in range(1, 6)] + [("rademacher", 2, 2, 3, SCALE)]
+
+
+@pytest.mark.parametrize("law, d1, d2, n, scale", SUM_GRID, ids=[
+    f"{law}-{d1}x{d2}-n{n}{'-scaled' if scale is not None else ''}"
+    for law, d1, d2, n, scale in SUM_GRID])
+def test_sum_bound_law_is_bit_identical_to_reference(monkeypatch, law, d1, d2, n, scale):
+    def run():
+        ens = MatrixEnsemble(d1, d2, n, LAWS[law](), "summand", scale)
+        # exact mode only where the reference enumerates quickly
+        modes = [False] if ens.exact_feasible() and ens.entry_count() <= 12 else []
+        return [_bits(bound_matrix_sum(ens, p, force_mc=mc, n_samples=k, seed=5))
+                for mc in modes + [True] for k in (300, 20) for p in PS]
+
+    _with_reference(monkeypatch, run)
+
+
+ENTRY_GRID = [(law, d1, d2) for law in LAWS for d1, d2 in ((1, 3), (2, 2), (2, 3), (3, 2))]
+
+
+@pytest.mark.parametrize("law, d1, d2", ENTRY_GRID + [("rademacher", 5, 5)],
+                         ids=[f"{law}-{d1}x{d2}" for law, d1, d2 in ENTRY_GRID]
+                         + ["rademacher-5x5-sampled"])
+def test_entry_latala_seginer_law_is_bit_identical_to_reference(monkeypatch, law, d1, d2):
+    pattern = np.arange(1.0, d1 * d2 + 1).reshape(d1, d2) - 2.0
+
+    def run():
+        ens = MatrixEnsemble(d1, d2, 1, LAWS[law](), "entries")
+        out = [_bits(bound_entry_matrix(ens, p, force_mc=mc, n_samples=300, seed=6))
+               for mc in (False, True) for p in PS]
+        out += [_bits(bound_latala(ens, p, n_samples=300, seed=6)) for p in PS]
+        out += [_bits(seginer_ensemble(a, p, n_samples=300, seed=6))
+                for a in (np.ones((d1, d2)), pattern) for p in PS]
+        return out
+
+    _with_reference(monkeypatch, run)
+
+
+def test_law_memo_is_keyed_by_samples_seed_and_stream():
+    def fresh():
+        return MatrixEnsemble(2, 2, 3, rademacher_law())
+
+    shared = fresh()
+    calls = [{}, {"force_mc": True, "n_samples": 200, "seed": 1},
+             {"force_mc": True, "n_samples": 200, "seed": 2},
+             {"force_mc": True, "n_samples": 300, "seed": 2}]
+    got = [_bits(bound_matrix_sum(shared, 3.0, **kw)) for kw in calls]
+    assert got == [_bits(bound_matrix_sum(fresh(), 3.0, **kw)) for kw in calls]
+    assert len(set(got)) == len(calls)
+    # a second exponent reuses the laws already there
+    bound_matrix_sum(shared, 4.5, **calls[1])
+    assert len(shared._laws) == len(calls)
+
+    # 2^25 configurations: both take the sampled path, streams 1 and 2
+    def entries():
+        return MatrixEnsemble(5, 5, 1, rademacher_law(), "entries")
+
+    shared = entries()
+    for fn in (bound_entry_matrix, bound_latala):
+        assert (_bits(fn(shared, 3.0, n_samples=200, seed=4))
+                == _bits(fn(entries(), 3.0, n_samples=200, seed=4)))
+    assert len(shared._laws) == 2
+
+
+def test_matrix_sweep_script_rows(monkeypatch, capsys):
+    # rows of scripts/matrix_sweep.py recorded before the law was shared
+    script = Path(__file__).parents[1] / "scripts" / "matrix_sweep.py"
+    monkeypatch.setattr(sys, "argv", [str(script), "--dims", "2", "4", "--samples", "200"])
+    runpy.run_path(str(script), run_name="__main__")
+    assert capsys.readouterr().out.splitlines() == [
+        "   d  entry lhs  entry rhs  latala ratio  seginer ratio  (log d)^1/4",
+        "   2     1.7321   142.7101        0.4024         1.2247       0.9124",
+        "   4     2.9769   142.7101        0.4937         1.4884       1.0851",
+    ]
