@@ -358,9 +358,11 @@ def resolve_check(job, where: str):
 
     ConfigError on an unknown check id, an unknown or missing key, a
     ``lambda_grid`` other than an object of num, lo and hi, an entry law that
-    is not one of the known laws, fewer than 2 Monte Carlo samples, a d1, d2,
-    n or d that is not an integer >= 1, an ``a`` that is not a non-empty 2-D
-    array of numbers, or a ``matrix_sum`` or ``matrix_entries`` p below 2.
+    is not one of the known laws, fewer than 2 Monte Carlo samples, a p or q
+    that is not a number or a non-empty list of numbers, a norm_exp that is
+    not a number, a d1, d2, n, d, n_items, n_atoms or instances that is not
+    an integer >= 1, an ``a`` that is not a non-empty 2-D array of numbers,
+    or a ``matrix_sum`` or ``matrix_entries`` p below 2.
     """
     if not isinstance(job, dict) or "check" not in job:
         raise ConfigError(f"{where} must be an object with a \"check\" key")
@@ -377,7 +379,13 @@ def resolve_check(job, where: str):
     if "law" in job:
         _law_from(job["law"])
     job = {**keys, **job}
-    for k in ("d1", "d2", "n", "d"):
+    for k in ("p", "q", "norm_exp"):
+        v = job.get(k, 1)
+        swept = k != "norm_exp"
+        if not (_real(v) or swept and isinstance(v, list) and v and all(map(_real, v))):
+            raise ConfigError(f"{k} in {where} must be a number"
+                              f"{' or a non-empty list of numbers' if swept else ''}, got {v!r}")
+    for k in ("d1", "d2", "n", "d", "n_items", "n_atoms", "instances"):
         v = job.get(k, 1)
         if not (_real(v) and v >= 1 and v % 1 == 0 or k == "d2" and v is None):
             raise ConfigError(f"{k} in {where} must be an integer of at least 1, got {v!r}")

@@ -10,6 +10,14 @@ coefficient callback is handed exactly those counts).  The integral over
 
 piecewise constant in t between breakpoints.
 
+Every integral goes through two helpers.  ``_coefficient_table`` evaluates
+the coefficients against cell counts with one column per outcome (the atoms
+of the product space, sampled paths, or one field), calling each adapted
+coefficient once per distinct pattern of earlier-cell counts.
+``_window_sums`` runs the sum over (0, t] x B with lam_ij = clip * nu_j and
+yields it at the end of each time interval.  Exact and sampled integrals
+take t at a breakpoint and snap it to the breakpoint it matches.
+
 Exact mode represents the sample space as the product of truncated-Poisson
 cell spaces, which makes moments, martingale properties, and the decoupling
 identities exact up to the recorded truncation tail.  The decoupled integral
@@ -33,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lq import FiniteMeasureSpace, InvalidInputError, LqElement
+from .lq import FiniteMeasureSpace, InvalidInputError, LqElement, batch_norm_q
 from .normfuncs import norm_atom
 from .poisson import GridPartition, PoissonFieldRealization
 from .prob import (ProductSpace, RandomLqVariable, moment_ci, philox, product_space,
@@ -70,15 +78,6 @@ class SimpleAdaptedProcess:
     def is_deterministic(self) -> bool:
         return all(isinstance(v, LqElement) for v in self.coefficients.values())
 
-    def coefficient_at(self, i: int, j: int, counts_before: dict) -> LqElement:
-        c = self.coefficients.get((i, j))
-        if c is None:
-            zeros = np.zeros(self.elem_shape, dtype=complex)
-            return LqElement(zeros, self.elem_space)
-        if isinstance(c, LqElement):
-            return c
-        return c(counts_before)
-
     def scaled(self, factor: complex) -> "SimpleAdaptedProcess":
         out = {}
         for key, c in self.coefficients.items():
@@ -108,21 +107,63 @@ def deterministic_process(grid: GridPartition, cells: dict,
     return SimpleAdaptedProcess(grid, coeff, elem_space, shape or ())
 
 
-def _window_cells(grid: GridPartition, t: float, B) -> list[tuple[int, int, float]]:
-    """Cells meeting (0, t] x B with their clipped lengths."""
-    if B is None:
-        marks = list(range(grid.n_marks))
-    else:
-        marks = sorted(grid.mark_index(b) for b in B)
+def _window_cells(grid: GridPartition, t: float, B) -> list[list[tuple[int, float]]]:
+    """Per time interval meeting (0, t]: (time-major cell index, clipped
+    intensity clip * nu_j) of each of its cells with a mark in B."""
+    marks = range(grid.n_marks) if B is None else sorted(grid.mark_index(b) for b in B)
     out = []
     for i in range(grid.n_intervals):
-        a, b = grid.time_points[i], grid.time_points[i + 1]
+        a = grid.time_points[i]
         if t <= a:
             break
-        clip = min(b, t) - a
-        for j in marks:
-            out.append((i, j, clip))
+        clip = min(grid.time_points[i + 1], t) - a
+        out.append([(i * grid.n_marks + j, clip * grid.j_measures[j]) for j in marks])
     return out
+
+
+def _coefficient_table(F: SimpleAdaptedProcess, cells: list, counts: np.ndarray) -> np.ndarray:
+    """Coefficients (cells, columns, *elem) of the time-major ``cells``, with
+    ``counts`` holding one row per cell and one column per outcome.
+
+    An adapted coefficient is called once per distinct pattern of
+    earlier-cell counts among the columns.
+    """
+    y = np.zeros((len(cells), counts.shape[1]) + tuple(F.elem_shape), dtype=complex)
+    for k, (i, j) in enumerate(cells):
+        c = F.coefficients.get((i, j))
+        if c is None:
+            continue
+        if isinstance(c, LqElement):
+            y[k] = c.values
+            continue
+        earlier = [kk for kk, (ii, _) in enumerate(cells) if ii < i]
+        if not earlier:
+            y[k] = c({}).values
+            continue
+        _, inverse = np.unique(counts[earlier].T, axis=0, return_inverse=True)
+        for pat_id in np.unique(inverse):
+            sel = np.nonzero(inverse == pat_id)[0]
+            y[k, sel] = c({cells[kk]: int(counts[kk, sel[0]]) for kk in earlier}).values
+    return y
+
+
+def _window_sums(windows: list, y: np.ndarray, counts: np.ndarray):
+    """The integral sum_k y_k (N_k - lam_k) over the window, per column,
+    yielded at the end of each interval of ``windows``."""
+    total = np.zeros(counts.shape[1:] + y.shape[2:], dtype=complex)
+    for interval in windows:
+        for k, lam in interval:
+            comp = counts[k] - lam
+            total = total + y[k] * comp.reshape(comp.shape + (1,) * (y.ndim - 2))
+        yield total
+
+
+def _breakpoint(grid: GridPartition, t: float) -> float:
+    """The grid breakpoint t is close to."""
+    for tp in grid.time_points[1:]:
+        if math.isclose(t, tp):
+            return float(tp)
+    raise InvalidInputError("exact and sampled integrals take t at a grid breakpoint")
 
 
 def integrate(F: SimpleAdaptedProcess, field: PoissonFieldRealization,
@@ -137,22 +178,16 @@ def integrate(F: SimpleAdaptedProcess, field: PoissonFieldRealization,
     if field.grid is not F.grid and field.grid != F.grid:
         raise InvalidInputError("field and process use different grids")
     grid = F.grid
-    total = np.zeros(F.elem_shape, dtype=complex)
-    for i, j, clip in _window_cells(grid, t, B):
-        if (i, j) not in F.coefficients:
-            continue
-        counts_before = {(ii, jj): int(field.counts[ii, jj])
-                         for ii in range(i) for jj in range(grid.n_marks)}
-        y = F.coefficient_at(i, j, counts_before)
-        a = grid.time_points[i]
-        full = grid.time_points[i + 1] - a
-        if clip >= full:
-            n_win = int(field.counts[i, j])
-        else:
-            n_win = field.count_before(i, j, a + clip)
-        lam_win = clip * grid.j_measures[j]
-        total = total + y.values * (n_win - lam_win)
-    return LqElement(total, F.elem_space)
+    windows = _window_cells(grid, t, B)
+    i = len(windows) - 1
+    cells = grid.cells()[:(i + 1) * grid.n_marks]
+    counts = np.array(field.counts, dtype=int).reshape(-1, 1)[:len(cells)]
+    if t < grid.time_points[i + 1]:
+        for j in range(grid.n_marks):
+            counts[i * grid.n_marks + j] = field.count_before(i, j, t)
+    for total in _window_sums(windows, _coefficient_table(F, cells, counts), counts):
+        pass
+    return LqElement(total[0], F.elem_space)
 
 
 # -- exact mode ----------------------------------------------------------------
@@ -189,36 +224,11 @@ def build_exact_model(F: SimpleAdaptedProcess, eps: float = 1e-10,
     if decoupled:
         spaces = spaces + spaces
     prod = product_space(spaces, budget)
+    counts = np.array([np.asarray(s.atoms)[prod.factor_indices(k)]
+                       for k, s in enumerate(spaces)], dtype=int)
     n_cells = len(cell_order)
-    n_atoms = prod.n_atoms
-    counts = np.empty((n_cells, n_atoms), dtype=int)
-    for k in range(n_cells):
-        counts[k] = np.asarray(spaces[k].atoms)[prod.factor_indices(k)]
-    counts_c = None
-    if decoupled:
-        counts_c = np.empty((n_cells, n_atoms), dtype=int)
-        for k in range(n_cells):
-            counts_c[k] = np.asarray(spaces[k].atoms)[prod.factor_indices(n_cells + k)]
-    elem_shape = tuple(F.elem_shape)
-    y = np.zeros((n_cells, n_atoms) + elem_shape, dtype=complex)
-    for k, (i, j) in enumerate(cell_order):
-        c = F.coefficients.get((i, j))
-        if c is None:
-            continue
-        if isinstance(c, LqElement):
-            y[k] = c.values
-            continue
-        earlier = [kk for kk, (ii, _) in enumerate(cell_order) if ii < i]
-        if not earlier:
-            y[k] = c({}).values
-            continue
-        # group atoms by the earlier-cell count pattern; one callback per pattern
-        patterns = counts[earlier]
-        _, inverse = np.unique(patterns.T, axis=0, return_inverse=True)
-        for pat_id in np.unique(inverse):
-            sel = np.nonzero(inverse == pat_id)[0]
-            cb = {cell_order[kk]: int(counts[kk, sel[0]]) for kk in earlier}
-            y[k, sel] = c(cb).values
+    counts, counts_c = counts[:n_cells], (counts[n_cells:] if decoupled else None)
+    y = _coefficient_table(F, cell_order, counts)
     tail = sum(tp.tail_bound for tp in tps)
     return ExactModel(F, prod, cell_order, counts, y, tail, counts_c)
 
@@ -227,20 +237,12 @@ def integrate_exact(model: ExactModel, t: float, B=None,
                     use_copy: bool = False) -> RandomLqVariable:
     """The integral as an exact random variable; t must be a breakpoint."""
     grid = model.process.grid
-    if not any(math.isclose(t, tp) for tp in grid.time_points[1:]):
-        raise InvalidInputError("exact mode integrates up to grid breakpoints only")
+    t = _breakpoint(grid, t)
     counts = model.counts_c if use_copy else model.counts
     if use_copy and counts is None:
         raise InvalidInputError("model was built without a decoupled copy")
-    lam = grid.intensities
-    window = {(i, j) for i, j, _ in _window_cells(grid, t, B)}
-    elem_axes = (slice(None),) + (None,) * len(model.process.elem_shape)
-    total = np.zeros((model.space.n_atoms,) + tuple(model.process.elem_shape), dtype=complex)
-    for k, (i, j) in enumerate(model.cell_order):
-        if (i, j) not in window:
-            continue
-        comp = (counts[k] - lam[i, j])[elem_axes]
-        total = total + model.y[k] * comp
+    for total in _window_sums(_window_cells(grid, t, B), model.y, counts):
+        pass
     return RandomLqVariable(model.space, total, model.process.elem_space)
 
 
@@ -265,36 +267,16 @@ def sample_paths(F: SimpleAdaptedProcess, t: float, B, q: float,
     the only values the running supremum can take.
     """
     grid = F.grid
-    if not any(math.isclose(t, tp) for tp in grid.time_points[1:]):
-        raise InvalidInputError("sampled moments take t at a grid breakpoint")
-    gen = philox(seed, stream)
+    windows = _window_cells(grid, _breakpoint(grid, t), B)
     lam = grid.intensities
-    counts = gen.poisson(lam, size=(n_samples,) + lam.shape)
-    breaks = [tp for tp in grid.time_points[1:] if tp <= t + 1e-12]
-    marks = list(range(grid.n_marks)) if B is None else sorted(grid.mark_index(b) for b in B)
+    counts = philox(seed, stream).poisson(lam, size=(n_samples,) + lam.shape)
+    counts = counts.reshape(n_samples, -1).T[:len(windows) * grid.n_marks]
+    # a deterministic table is one column, broadcast over the paths
+    y = _coefficient_table(F, grid.cells()[:len(counts)],
+                           counts[:, :1] if F.is_deterministic else counts)
     weights = F.elem_space.weights if F.elem_space is not None else None
-    from .lq import batch_norm_q
-    det = F.is_deterministic
-    norms = np.zeros((n_samples, len(breaks)))
-    partial = np.zeros((n_samples,) + tuple(F.elem_shape), dtype=complex)
-    for i_prefix, s in enumerate(breaks):
-        i = i_prefix
-        for j in marks:
-            c = F.coefficients.get((i, j))
-            if c is None:
-                continue
-            comp = counts[:, i, j] - lam[i, j]
-            if det:
-                y = c.values[None, ...]
-                partial = partial + y * comp.reshape((-1,) + (1,) * len(F.elem_shape))
-            else:
-                for sidx in range(n_samples):
-                    cb = {(ii, jj): int(counts[sidx, ii, jj])
-                          for ii in range(i) for jj in range(grid.n_marks)}
-                    y = F.coefficient_at(i, j, cb)
-                    partial[sidx] = partial[sidx] + y.values * comp[sidx]
-        norms[:, i_prefix] = batch_norm_q(partial, q, weights)
-    return norms
+    return np.stack([batch_norm_q(total, q, weights)
+                     for total in _window_sums(windows, y, counts)], axis=1)
 
 
 def running_max_moment(F: SimpleAdaptedProcess, t: float, B, p: float, q: float,
@@ -382,22 +364,17 @@ def _process_tables(F: SimpleAdaptedProcess, t: float, B,
                     model: ExactModel | None, eps: float, budget: int):
     """(lam vector, probs, y table (cells, atoms, *elem)) for the window."""
     grid = F.grid
-    window = [(i, j, clip) for i, j, clip in _window_cells(grid, t, B)]
-    lam = np.array([clip * grid.j_measures[j] for _, j, clip in window])
+    window = [cell for interval in _window_cells(grid, t, B) for cell in interval]
+    lam = np.array([lam for _, lam in window])
     if F.is_deterministic:
         probs = np.ones(1)
-        y = np.zeros((len(window), 1) + tuple(F.elem_shape), dtype=complex)
-        for k, (i, j, _) in enumerate(window):
-            c = F.coefficients.get((i, j))
-            if c is not None:
-                y[k, 0] = c.values
-        return lam, probs, y
-    if model is None:
-        model = build_exact_model(F, eps, budget)
-    probs = model.space.probs
-    idx = {cell: k for k, cell in enumerate(model.cell_order)}
-    y = np.stack([model.y[idx[(i, j)]] for (i, j, _) in window])
-    return lam, probs, y
+        cells = grid.cells()
+        y = _coefficient_table(F, cells, np.zeros((len(cells), 1), dtype=int))
+    else:
+        if model is None:
+            model = build_exact_model(F, eps, budget)
+        probs, y = model.space.probs, model.y
+    return lam, probs, y[[k for k, _ in window]]
 
 
 def process_norm(F: SimpleAdaptedProcess, t: float, B, p: float, q: float,

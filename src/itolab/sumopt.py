@@ -84,11 +84,11 @@ class DecompositionResult:
     converged: bool
 
 
-def _pow2_scale(x: float) -> float:
+def pow2_scale(x: float) -> float:
     """Largest power of two <= x (1.0 for x <= 0); division by it is exact."""
     if x <= 0 or not math.isfinite(x):
         return 1.0
-    return 2.0 ** math.floor(math.log2(x))
+    return math.ldexp(0.5, math.frexp(x)[1])
 
 
 def minimize_decomposition(target: np.ndarray, funcs: list[NormFunctional], *,
@@ -105,7 +105,7 @@ def minimize_decomposition(target: np.ndarray, funcs: list[NormFunctional], *,
     amax = float(np.abs(target).max()) if target.size else 0.0
     if amax == 0.0:
         return DecompositionResult(0.0, [np.zeros_like(target) for _ in range(k)], 0, True)
-    scale = _pow2_scale(amax)
+    scale = pow2_scale(amax)
     z = target / scale
 
     def objective(X):

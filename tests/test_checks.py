@@ -383,3 +383,16 @@ def test_reports_stable_under_atom_permutation():
     rep2 = check_symmetrization(seq_perm, 2.5, 2.0)
     assert rep1.status == rep2.status
     assert rep1.lhs == pytest.approx(rep2.lhs, rel=1e-12)
+
+
+def test_ito_isomorphism_scale_gap_can_fail(monkeypatch):
+    # a process norm that is not homogeneous must show in the gap: R(32 F)
+    # is measured on its own table, not on a renormalised copy of member 0
+    import itolab.integrator as integrator
+    exact_norm = integrator.process_norm
+    monkeypatch.setattr(integrator, "process_norm",
+                        lambda *a, **k: exact_norm(*a, **k) + 1e-6)
+    fam = [single_cell_process(0.3, np.array([1.0]), ES)]
+    rep = check_ito_isomorphism(fam, 4.0, 2.0)
+    assert rep.details["scale_invariance_gap"] > 1e-7
+    assert rep.status == "fail"

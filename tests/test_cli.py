@@ -86,13 +86,20 @@ _ONE_CELL = {"grid": {"time_points": [0.0, 1.0], "marks": [{"label": "A", "measu
     ({}, {"check": "matrix_entries", "d1": -1}),
     ({}, {"check": "matrix_sum", "p": 1.5}),
     ({}, {"check": "matrix_entries", "p": 1.5}),
+    ({}, {"check": "kahane", "p": "x"}),
+    ({}, {"check": "khintchine", "n_items": 0}),
+    ({}, {"check": "kahane", "p": []}),
+    ({}, {"check": "symmetrization", "instances": 0}),
+    ({}, {"check": "kahane", "norm_exp": [2.0, 3.0]}),
 ], ids=["unknown-law", "two-atom-without-a", "doob-without-process",
         "ito-without-family", "process-unknown-key", "missing-process-file",
         "one-sample", "zero-samples", "one-top-level-sample", "process-without-grid",
         "process-without-cells", "mark-without-label", "mark-without-measure",
         "lambda-grid-unknown-key", "lambda-grid-list", "seginer-1d-a",
         "matrix-sum-zero-d1", "matrix-sum-zero-n", "entries-negative-d1",
-        "matrix-sum-p-below-2", "entries-p-below-2"])
+        "matrix-sum-p-below-2", "entries-p-below-2", "kahane-string-p",
+        "khintchine-zero-items", "kahane-empty-p", "symmetrization-zero-instances",
+        "kahane-list-norm-exp"])
 def test_config_errors_exit_2(tmp_path, capsys, top, job):
     # some of these are found only while the job runs (process tables and
     # files are read then); all exit 2 with a one-line message

@@ -1,16 +1,19 @@
 import math
+import runpy
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from itolab.lq import LqElement, point_space, uniform_space
+from itolab.lq import LqElement, batch_norm_q, point_space, uniform_space
 from itolab.poisson import GridPartition, realize, refine
 from itolab.prob import exact_moment, philox, centered_poisson_moment
-from itolab.integrator import (SimpleAdaptedProcess, StepProcess, build_exact_model,
-                               condition_as_step, decoupled_integrate,
+from itolab.integrator import (SimpleAdaptedProcess, StepProcess, _process_tables,
+                               build_exact_model, condition_as_step, decoupled_integrate,
                                decoupling_difference_sequence, deterministic_process,
                                grid_condition, integrate, integrate_exact,
-                               process_norm, running_max_moment)
+                               process_norm, running_max_moment, sample_paths)
 from itolab.instances import (multi_cell_process, single_cell_process,
                               two_stage_adapted_process)
 
@@ -283,3 +286,263 @@ def test_decoupled_integral_equals_alternating_interleaving():
     assert np.allclose(res["alternating"], dec.values[:, 0], atol=1e-13)
     coup = integrate_exact(model, t)
     assert np.allclose(res["sum"], coup.values[:, 0], atol=1e-13)
+
+
+# -- reference copies of the integral paths before the shared coefficient
+# table and window sum; the current paths must agree with them bit for bit
+
+
+def _ref_coefficient_at(F, i, j, counts_before):
+    c = F.coefficients.get((i, j))
+    if c is None:
+        return LqElement(np.zeros(F.elem_shape, dtype=complex), F.elem_space)
+    return c if isinstance(c, LqElement) else c(counts_before)
+
+
+def _ref_window_cells(grid, t, B):
+    marks = list(range(grid.n_marks)) if B is None else sorted(grid.mark_index(b) for b in B)
+    out = []
+    for i in range(grid.n_intervals):
+        a, b = grid.time_points[i], grid.time_points[i + 1]
+        if t <= a:
+            break
+        clip = min(b, t) - a
+        for j in marks:
+            out.append((i, j, clip))
+    return out
+
+
+def _ref_integrate(F, field, t, B=None):
+    grid = F.grid
+    total = np.zeros(F.elem_shape, dtype=complex)
+    for i, j, clip in _ref_window_cells(grid, t, B):
+        if (i, j) not in F.coefficients:
+            continue
+        counts_before = {(ii, jj): int(field.counts[ii, jj])
+                         for ii in range(i) for jj in range(grid.n_marks)}
+        y = _ref_coefficient_at(F, i, j, counts_before)
+        a = grid.time_points[i]
+        full = grid.time_points[i + 1] - a
+        if clip >= full:
+            n_win = int(field.counts[i, j])
+        else:
+            n_win = field.count_before(i, j, a + clip)
+        lam_win = clip * grid.j_measures[j]
+        total = total + y.values * (n_win - lam_win)
+    return total
+
+
+def _ref_integrate_exact(model, t, B=None, use_copy=False):
+    grid = model.process.grid
+    assert any(math.isclose(t, tp) for tp in grid.time_points[1:])
+    counts = model.counts_c if use_copy else model.counts
+    lam = grid.intensities
+    window = {(i, j) for i, j, _ in _ref_window_cells(grid, t, B)}
+    elem_axes = (slice(None),) + (None,) * len(model.process.elem_shape)
+    total = np.zeros((model.space.n_atoms,) + tuple(model.process.elem_shape), dtype=complex)
+    for k, (i, j) in enumerate(model.cell_order):
+        if (i, j) not in window:
+            continue
+        comp = (counts[k] - lam[i, j])[elem_axes]
+        total = total + model.y[k] * comp
+    return total
+
+
+def _ref_sample_paths(F, t, B, q, n_samples, seed, stream=0):
+    grid = F.grid
+    gen = philox(seed, stream)
+    lam = grid.intensities
+    counts = gen.poisson(lam, size=(n_samples,) + lam.shape)
+    breaks = [tp for tp in grid.time_points[1:] if tp <= t + 1e-12]
+    marks = list(range(grid.n_marks)) if B is None else sorted(grid.mark_index(b) for b in B)
+    weights = F.elem_space.weights if F.elem_space is not None else None
+    det = F.is_deterministic
+    norms = np.zeros((n_samples, len(breaks)))
+    partial = np.zeros((n_samples,) + tuple(F.elem_shape), dtype=complex)
+    for i_prefix, s in enumerate(breaks):
+        i = i_prefix
+        for j in marks:
+            c = F.coefficients.get((i, j))
+            if c is None:
+                continue
+            comp = counts[:, i, j] - lam[i, j]
+            if det:
+                y = c.values[None, ...]
+                partial = partial + y * comp.reshape((-1,) + (1,) * len(F.elem_shape))
+            else:
+                for sidx in range(n_samples):
+                    cb = {(ii, jj): int(counts[sidx, ii, jj])
+                          for ii in range(i) for jj in range(grid.n_marks)}
+                    y = _ref_coefficient_at(F, i, j, cb)
+                    partial[sidx] = partial[sidx] + y.values * comp[sidx]
+        norms[:, i_prefix] = batch_norm_q(partial, q, weights)
+    return norms
+
+
+def _ref_process_tables(F, t, B, model):
+    grid = F.grid
+    window = _ref_window_cells(grid, t, B)
+    lam = np.array([clip * grid.j_measures[j] for _, j, clip in window])
+    if F.is_deterministic:
+        y = np.zeros((len(window), 1) + tuple(F.elem_shape), dtype=complex)
+        for k, (i, j, _) in enumerate(window):
+            c = F.coefficients.get((i, j))
+            if c is not None:
+                y[k, 0] = c.values
+        return lam, np.ones(1), y
+    idx = {cell: k for k, cell in enumerate(model.cell_order)}
+    return lam, model.space.probs, np.stack([model.y[idx[(i, j)]] for (i, j, _) in window])
+
+
+def _assert_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert a.tobytes() == b.tobytes()
+
+
+W2 = uniform_space(2)
+_GRID = GridPartition(np.array([0.0, 0.7, 1.5]), ("A", "B"), np.array([0.35, 0.6]))
+_MAT = {(0, 0): np.array([[1.0, -0.5], [0.25, 2.0]]), (0, 1): np.array([[0.0, 1.5], [-1.0, 0.5j]]),
+        (1, 1): np.array([[0.3, 0.0], [1.0, -1.25]])}
+
+
+def _adapted(elem, elem_space):
+    """Two marks: the second interval's coefficients read both first-interval
+    counts; cell (1, 0) has no coefficient."""
+    base = LqElement(np.asarray(elem, dtype=complex), elem_space)
+
+    def late(cb):
+        return base * (1.0 + 0.5 * cb[(0, 0)] - 0.75 * cb[(0, 1)] + 0.125j * cb[(0, 0)] ** 2)
+
+    return SimpleAdaptedProcess(_GRID, {(0, 0): base * -1.5, (0, 1): base, (1, 1): late},
+                                elem_space, base.shape)
+
+
+_PROCESSES = {
+    "det-one-mark": multi_cell_process([0.3, 0.6, 0.45],
+                                       [np.array([1.0]), np.array([-2.0]), np.array([0.75])], ES),
+    "det-two-marks": deterministic_process(
+        _GRID, {(0, 0): np.array([1.0, -0.5]), (1, 0): np.array([2.0, 0.25]),
+                (1, 1): np.array([-1.0, 3.0])}, W2),
+    "det-matrix": deterministic_process(_GRID, _MAT),
+    "adapted-commutative": _adapted([1.0, -0.5], W2),
+    "adapted-matrix": _adapted([[1.0, -0.5], [0.25, 2.0]], None),
+    "adapted-one-mark": two_stage_adapted_process(0.5, 0.4, np.array([1.0]), bump=0.7,
+                                                  elem_space=ES),
+}
+
+
+def _mark_sets(F):
+    labels = F.grid.j_labels
+    both = [set(labels)] if len(labels) > 1 else []
+    return [None] + [{lab} for lab in labels] + [set()] + both
+
+
+def _breaks(F):
+    return [float(tp) for tp in F.grid.time_points[1:]]
+
+
+@pytest.mark.parametrize("name", sorted(_PROCESSES))
+def test_integrate_matches_reference_bits(name):
+    F = _PROCESSES[name]
+    tp = F.grid.time_points
+    ts = _breaks(F) + [float(0.5 * (a + b)) for a, b in zip(tp[:-1], tp[1:])] + [0.05, 9.0]
+    for seed in range(8):
+        field = realize(F.grid, seed=seed)
+        for B in _mark_sets(F):
+            for t in ts:
+                got = integrate(F, field, t, B)
+                _assert_bits(got.values, _ref_integrate(F, field, t, B))
+                if B == set():
+                    assert not np.any(got.values)
+
+
+@pytest.mark.parametrize("name", sorted(_PROCESSES))
+def test_exact_model_and_integrals_match_reference_bits(name):
+    F = _PROCESSES[name]
+    model = build_exact_model(F, eps=1e-2, decoupled=True)
+    # the table holds each adapted coefficient at the atom's earlier counts
+    for k, (i, j) in enumerate(model.cell_order):
+        for a in range(0, model.space.n_atoms, 97):
+            cb = {model.cell_order[kk]: int(model.counts[kk, a])
+                  for kk in range(len(model.cell_order)) if model.cell_order[kk][0] < i}
+            _assert_bits(model.y[k, a], _ref_coefficient_at(F, i, j, cb).values)
+    for B in _mark_sets(F):
+        for t in _breaks(F):
+            for use_copy in (False, True):
+                got = integrate_exact(model, t, B, use_copy=use_copy)
+                _assert_bits(got.values, _ref_integrate_exact(model, t, B, use_copy))
+                if B == set():
+                    assert not np.any(got.values)
+
+
+@pytest.mark.parametrize("name", sorted(_PROCESSES))
+def test_sample_paths_match_reference_bits(name):
+    F = _PROCESSES[name]
+    for B in _mark_sets(F):
+        for t in _breaks(F):
+            got = sample_paths(F, t, B, 2.5, 150, seed=4, stream=3)
+            _assert_bits(got, _ref_sample_paths(F, t, B, 2.5, 150, seed=4, stream=3))
+            if B == set():
+                assert not np.any(got)
+
+
+@pytest.mark.parametrize("name", sorted(_PROCESSES))
+def test_process_tables_match_reference_bits(name):
+    F = _PROCESSES[name]
+    model = None if F.is_deterministic else build_exact_model(F, eps=1e-4)
+    tp = F.grid.time_points
+    for B in _mark_sets(F):
+        for t in _breaks(F) + [float(0.5 * (tp[0] + tp[1]))]:
+            got = _process_tables(F, t, B, model, 1e-4, 10_000)
+            if B == set() and model is not None:
+                # the reference stacked an empty list and raised ValueError
+                assert got[2].shape == (0,) + model.y.shape[1:]
+                continue
+            for a, b in zip(got, _ref_process_tables(F, t, B, model)):
+                _assert_bits(a, b)
+
+
+def test_breakpoint_just_above_is_snapped():
+    F = multi_cell_process([0.3, 0.7], [np.array([1.0]), np.array([-0.5])], ES)
+    model = build_exact_model(F, eps=1e-12)
+    t1 = float(F.grid.time_points[1])
+    above = t1 * (1 + 1e-12)
+    at, near = integrate_exact(model, t1), integrate_exact(model, above)
+    _assert_bits(near.values, at.values)
+    assert exact_moment(near, 2.0, 2.0) == pytest.approx(math.sqrt(0.3), rel=1e-9)
+    _assert_bits(sample_paths(F, above, None, 2.0, 50, seed=1),
+                 sample_paths(F, t1, None, 2.0, 50, seed=1))
+
+
+def test_ito_sweep_script_rows(monkeypatch, capsys):
+    # rows of scripts/ito_sweep.py recorded before the shared coefficient table
+    script = Path(__file__).parents[1] / "scripts" / "ito_sweep.py"
+    monkeypatch.setattr(sys, "argv", [str(script), "--lambdas", "0.5"])
+    runpy.run_path(str(script), run_name="__main__")
+    assert capsys.readouterr().out.splitlines() == [
+        '',
+        '(p, q) = (3.0, 2.5)  case 1  (S & D_qq & D_pq)',
+        '     lam       moment         norm        R',
+        '   0.500     0.866964     0.793701    1.092',
+        '',
+        '(p, q) = (2.5, 3.0)  case 2  (S & (D_qq + D_pq))',
+        '     lam       moment         norm        R',
+        '   0.500     0.780772     0.757858    1.030',
+        '',
+        '(p, q) = (1.5, 3.0)  case 3  ((S & D_qq) + D_pq)',
+        '     lam       moment         norm        R',
+        '   0.500     0.649076     0.629961    1.030',
+        '',
+        '(p, q) = (3.0, 1.5)  case 4  ((S + D_qq) & D_pq)',
+        '     lam       moment         norm        R',
+        '   0.500     0.866964     0.793701    1.092',
+        '',
+        '(p, q) = (1.8, 1.5)  case 5  (S + (D_qq & D_pq))',
+        '     lam       moment         norm        R',
+        '   0.500     0.681952     0.680395    1.002',
+        '',
+        '(p, q) = (1.5, 1.8)  case 6  (S + D_qq + D_pq)',
+        '     lam       moment         norm        R',
+        '   0.500     0.649076     0.629961    1.030',
+    ]

@@ -1,11 +1,13 @@
 """Batched norm functionals and the lockstep sum-norm optimizer."""
 
+import math
+
 import numpy as np
 import pytest
 
 from itolab.normfuncs import ProcDpq, ProcDqq, ProcS, SeqD, SeqS
 from itolab.prob import philox
-from itolab.sumopt import MaxFunctional, _pow2_scale, minimize_decomposition
+from itolab.sumopt import MaxFunctional, minimize_decomposition, pow2_scale
 
 PROBS = np.array([0.2, 0.3, 0.5])
 LAM = np.array([0.4, 0.8, 0.3])
@@ -168,7 +170,7 @@ def _one_restart_at_a_time(target, funcs, restarts, max_iter, rel_tol, seed):
     """Reference: the optimizer loop run restart after restart, each
     objective call on a one-row batch.  Returns (value, iterations, converged)."""
     k = len(funcs)
-    scale = _pow2_scale(float(np.abs(target).max()))
+    scale = pow2_scale(float(np.abs(target).max()))
     z = target / scale
 
     def objective(X):
@@ -249,3 +251,11 @@ def test_lockstep_matches_one_restart_at_a_time(make, restarts, max_iter):
     assert res.iterations == iterations
     assert res.value == pytest.approx(value, rel=1e-12)
     assert res.converged == converged
+
+
+def test_pow2_scale_is_largest_power_of_two_below():
+    assert pow2_scale(7.999999999999999) == 4.0
+    for k in range(-1073, 1024):
+        assert pow2_scale(2.0 ** k) == 2.0 ** k
+        assert pow2_scale(math.nextafter(2.0 ** k, 0.0)) == 2.0 ** (k - 1)
+    assert pow2_scale(0.0) == pow2_scale(-3.0) == pow2_scale(math.inf) == 1.0
