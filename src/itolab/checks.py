@@ -478,12 +478,13 @@ def check_ito_isomorphism(family: list, p: float, q: float, *,
         r_lo.append((moment - ci) / value if value > 0 else math.inf)
         r_hi.append((moment + ci) / value if value > 0 else math.inf)
     band = table.ito_band
-    ratio_band = max(r_hi) / min(r_lo) if min(r_lo) > 0 else math.inf
+    ratio_band = max(r_hi) / min(r_lo) if 0 < min(r_lo) < math.inf else math.inf
     # scale invariance of the first member: R(32 F_0) on its own table, left to
-    # process_norm's own normalisation; its grid fits the budget as member 0's did
+    # process_norm's own normalisation; its grid fits the budget as member 0's
+    # did.  A zero F_0 (R = inf) is skipped; a zero family's band is inf
     F0 = family[0]
     inv_gap = 0.0
-    if F0.is_deterministic and not members[0]["monte_carlo"]:
+    if F0.is_deterministic and not members[0]["monte_carlo"] and members[0]["norm"] > 0:
         F32 = F0.scaled(32.0)
         tx = float(F32.grid.time_points[-1])
         m = build_exact_model(F32, eps, exact_budget)

@@ -2,7 +2,7 @@
 
 Subcommands: moments, rosenthal, integral, matrix, khintchine, suite.
 Exit codes: 0 all hard assertions passed, 1 a check failed, 2 invalid
-config (also when found while the jobs run), 3 resource budget exceeded.
+config, 3 resource budget exceeded.
 Report-only rows never affect the exit code.  ITOLAB_WORKERS sizes the work
 pool (default serial).
 """
@@ -19,8 +19,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .config import (SCALAR_ELEMENT, ConfigError, ExperimentConfig, load_config,
-                     parse_config, resolve_check)
+from .config import SCALAR_ELEMENT, ConfigError, ExperimentConfig, load_config, parse_config
 from .prob import BudgetExceededError
 from .report import FAIL, CheckReport
 
@@ -28,10 +27,9 @@ CSV_COLUMNS = ("check_id", "case_id", "p", "q", "lhs", "rhs", "constant",
                "provenance", "status", "tolerance", "seed", "runtime_ms")
 
 
-def _run_job(job: dict, idx: int, cfg: ExperimentConfig) -> list[CheckReport]:
+def _run_job(run, job: dict, idx: int, cfg: ExperimentConfig) -> list[CheckReport]:
     t0 = time.perf_counter()
-    run, args = resolve_check(job, f"checks[{idx}]")
-    out = run(args, idx, cfg)
+    out = run(job, idx, cfg)
     elapsed = (time.perf_counter() - t0) * 1000.0 / max(len(out), 1)
     for r in out:
         r.runtime_ms = elapsed
@@ -42,12 +40,12 @@ def _run_job(job: dict, idx: int, cfg: ExperimentConfig) -> list[CheckReport]:
 
 def run_jobs(cfg: ExperimentConfig) -> list[CheckReport]:
     workers = int(os.environ.get("ITOLAB_WORKERS", "1") or "1")
-    jobs = list(enumerate(cfg.checks))
+    jobs = list(enumerate(cfg.jobs))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda ij: _run_job(ij[1], ij[0], cfg), jobs))
+            results = list(pool.map(lambda ij: _run_job(*ij[1], ij[0], cfg), jobs))
     else:
-        results = [_run_job(job, i, cfg) for i, job in jobs]
+        results = [_run_job(run, job, i, cfg) for i, (run, job) in jobs]
     reports = [r for chunk in results for r in chunk]
     order = {FAIL: 0}
     reports.sort(key=lambda r: (order.get(r.status, 1), r.check_id,
@@ -200,7 +198,7 @@ def main(argv=None) -> int:
         if args.mode is not None:
             cfg.mode = args.mode
         reports = run_jobs(cfg)
-    except (ConfigError, OSError, json.JSONDecodeError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except BudgetExceededError as exc:

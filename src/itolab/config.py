@@ -1,38 +1,28 @@
 """Experiment configs: versioned JSON schema, strict validation, builders.
 
-A config is a JSON object:
-
-    {
-      "version": 1,
-      "seed": 1234,
-      "mode": "exact" | "sampled",
-      "samples": 10000,
-      "record_runtime": false,
-      "constants": {"hj_factor": ..., "rosenthal_factor": ...,
-                    "umd_constant": ..., "latala_constant": ..., "ito_band": ...},
-      "checks": [ { "check": "<id>", ...check-specific keys... }, ... ]
-    }
-
-Unknown keys are rejected everywhere.  Processes and sequences are defined
-by cell tables and atom tables, inline or via {"file": "path.json"}.
-
-``CHECKS`` maps each check id to its keys with their defaults and to the
-runner that turns one job into reports.
+``KINDS`` maps every key of a config, top level or job, to the kind that
+validates and types its value; README.md lists them.  ``CHECKS`` maps each
+check id to its keys with their defaults and to the runner that turns one
+typed job into reports.  Unknown keys are rejected everywhere.
 """
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import json
+import math
 import os
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
+from functools import partial
 
 import numpy as np
 
 from . import checks as C
 from . import randmat as RM
 from .checks import ConstantTable
+from .lq import ExponentPair, InvalidInputError
 from .poisson import GridPartition, default_lambda_grid, verify_poisson_moment_bounds
 from .integrator import SimpleAdaptedProcess, deterministic_process
 from .instances import (element_space_of, random_element, random_independent_sequence,
@@ -42,11 +32,6 @@ from .prob import philox
 
 class ConfigError(ValueError):
     """Invalid experiment configuration."""
-
-
-_TOP_KEYS = {"version", "seed", "mode", "samples", "record_runtime", "constants", "checks"}
-_CONSTANT_KEYS = {"hj_factor", "rosenthal_factor", "umd_constant", "latala_constant",
-                  "ito_band"}
 
 
 def _reject_unknown(obj: dict, allowed: set, where: str, required=()):
@@ -63,91 +48,185 @@ def _reject_unknown(obj: dict, allowed: set, where: str, required=()):
 
 @dataclass(eq=False)
 class ExperimentConfig:
-    seed: int = 12345
-    mode: str = "exact"
-    samples: int = 10_000
-    record_runtime: bool = False
-    constants: ConstantTable = field(default_factory=ConstantTable)
-    checks: list = field(default_factory=list)
-    base_dir: str = "."
+    """Typed top-level keys, the jobs as written, and each job's (runner, typed job)."""
+
+    seed: int
+    mode: str
+    samples: int
+    record_runtime: bool
+    constants: ConstantTable
+    checks: list
+    jobs: list
+
+
+def _read_json(*path: str):
+    try:
+        with open(os.path.join(*path)) as fh:
+            return json.load(fh)
+    except (OSError, TypeError, ValueError) as exc:
+        raise ConfigError(f"cannot read {path[-1]!r}: {exc}") from None
 
 
 def load_config(path: str) -> ExperimentConfig:
-    with open(path) as fh:
-        raw = json.load(fh)
-    return parse_config(raw, base_dir=os.path.dirname(os.path.abspath(path)))
+    return parse_config(_read_json(path), base_dir=os.path.dirname(os.path.abspath(path)))
+
+
+_TOP_DEFAULTS = {"seed": 12345, "mode": "exact", "samples": 10_000,
+                 "record_runtime": False, "constants": {}}
 
 
 def parse_config(raw: dict, base_dir: str = ".") -> ExperimentConfig:
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
-    _reject_unknown(raw, _TOP_KEYS, "config")
-    if raw.get("version") != 1:
-        raise ConfigError("config requires \"version\": 1")
-    mode = raw.get("mode", "exact")
-    if mode not in ("exact", "sampled"):
-        raise ConfigError(f"unknown mode {mode!r}")
-    consts_raw = raw.get("constants", {})
-    _reject_unknown(consts_raw, _CONSTANT_KEYS, "constants")
-    constants = ConstantTable(**consts_raw)
-    samples = _sample_count(raw.get("samples", 10_000), "samples")
-    checks = raw.get("checks", [])
-    if not isinstance(checks, list):
-        raise ConfigError("checks must be a list")
-    for i, job in enumerate(checks):
-        resolve_check(job, f"checks[{i}]")
-    return ExperimentConfig(seed=int(raw.get("seed", 12345)), mode=mode,
-                            samples=samples,
-                            record_runtime=bool(raw.get("record_runtime", False)),
-                            constants=constants, checks=checks, base_dir=base_dir)
+    """Every key through its kind: a config that parses raises no ConfigError later."""
+    _reject_unknown(raw, {"version", "checks", *_TOP_DEFAULTS}, "config")
+    _value(raw.get("version"), "config version", ok=lambda v: v == 1, domain="1")
+    top = {k: KINDS[k](raw.get(k, v), k) for k, v in _TOP_DEFAULTS.items()}
+    checks = _list(raw.get("checks", []), "checks", empty_ok=True)
+    jobs = [resolve_check(job, f"checks[{i}]", base_dir) for i, job in enumerate(checks)]
+    return ExperimentConfig(**top, checks=checks, jobs=jobs)
 
 
-# -- table builders --------------------------------------------------------------
+# -- key kinds: kind(value, key, check id, base_dir) -> typed value ----------------
 
 
-def _resolve_file(obj: dict, base_dir: str) -> dict:
-    if set(obj) == {"file"}:
-        with open(os.path.join(base_dir, obj["file"])) as fh:
-            return json.load(fh)
-    return obj
+def _value(v, what: str, *_, ok, domain: str):
+    if not ok(v):
+        raise ConfigError(f"{what} must be {domain}, got {v!r}")
+    return v
 
 
-def _parse_complex(v):
-    if isinstance(v, (list, tuple)) and len(v) == 2 and all(
-            isinstance(x, (int, float)) for x in v):
-        return complex(v[0], v[1])
-    if isinstance(v, (int, float)):
-        return complex(v)
-    raise ConfigError(f"cannot parse complex entry {v!r}")
+def _number(v, what: str, *_, ok=math.isfinite, domain="a finite number") -> float:
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not ok(v):
+        raise ConfigError(f"{what} must be {domain}, got {v!r}")
+    return float(v)
 
 
-def _parse_values(v, kind: str) -> np.ndarray:
+def _integer(v, what: str, *_, lo: int = 1) -> int:
+    return int(_number(v, what, ok=lambda x: x >= lo and x % 1 == 0,
+                       domain=f"an integer of at least {lo}"))
+
+
+_POSITIVE = {"ok": lambda x: 0 < x < math.inf, "domain": "a finite number > 0"}
+_FLAG = {"ok": lambda v: isinstance(v, bool), "domain": "true or false"}
+
+
+def _list(v, what: str, empty_ok: bool = False) -> list:
+    return _value(v, what, ok=lambda x: isinstance(x, list) and (empty_ok or x),
+                  domain="a list" if empty_ok else "a non-empty list")
+
+
+def _rows(v, what: str, entry) -> list:
+    """A non-empty list of equally long non-empty rows, each entry through ``entry``."""
+    rows = [[entry(x) for x in _list(r, what)] for r in _list(v, what)]
+    return _value(rows, what, ok=lambda r: len(set(map(len, r))) == 1, domain="equal-length rows")
+
+
+# check id -> lowest p and q its checker accepts, where narrower than the
+# default 1 <= p, q < inf (ExponentPair); None is 1 < p, q, as rosenthal_lq needs
+_EXPONENT_FLOOR = {"matrix_sum": 2.0, "matrix_entries": 2.0, "rosenthal_scalar": 2.0,
+                   "pq_ge2": 2.0, "rosenthal_lq": None}
+
+
+def _exponents(v, key: str, cid: str, *_) -> list:
+    """A number or a non-empty list of numbers in the check's domain, as a list."""
+    floor = _EXPONENT_FLOOR.get(cid, 1.0)
+    xs = [_number(x, key, ok=lambda x: x >= (floor or 1.0), domain="a number "
+                  + ("above 1" if floor is None else f"of at least {floor:g}"))
+          for x in (v if isinstance(v, list) and v else [v])]
+    for x in xs:
+        ExponentPair(x, x, allow_p_one=floor is not None, allow_q_one=floor is not None)
+    return xs
+
+
+def _element(spec, what: str, *_) -> dict:
+    """An element spec with its defaults filled in."""
+    _reject_unknown(spec, {"kind", "weights", "dims"}, what)
+    kind = _value(spec.get("kind", "matrix"), f"{what} kind",
+                  ok=lambda k: k in ("commutative", "matrix"), domain="commutative or matrix")
     if kind == "commutative":
-        return np.array([_parse_complex(x) for x in v])
-    return np.array([[_parse_complex(x) for x in row] for row in v])
+        _reject_unknown(spec, {"kind", "weights"}, f"commutative {what}")
+        return {"kind": kind, "weights": [_number(w, f"{what} weights", **_POSITIVE) for w in
+                                          _list(spec.get("weights", [1.0]), f"{what} weights")]}
+    _reject_unknown(spec, {"kind", "dims"}, f"matrix {what}")
+    dims = _value(spec.get("dims", [2, 2]), f"{what} dims", domain="two integers",
+                  ok=lambda d: isinstance(d, list) and len(d) == 2)
+    return {"kind": kind, "dims": [_integer(d, f"{what} dims") for d in dims]}
+
+
+def _law(spec, *_) -> RM.EntryLaw:
+    if spec == "rademacher":
+        return RM.rademacher_law()
+    if spec == "gaussian":
+        return RM.gaussian_law()
+    if not (isinstance(spec, dict) and set(spec) == {"two_atom"}):
+        raise ConfigError(f"unknown entry law {spec!r}")
+    params = spec["two_atom"]
+    _reject_unknown(params, {"a", "prob", "fourth_finite"}, "two_atom law", {"a", "prob"})
+    return RM.two_atom_law(_number(params["a"], "two_atom a"),
+                           _number(params["prob"], "two_atom prob"),
+                           _value(params.get("fourth_finite", True), "fourth_finite", **_FLAG))
+
+
+_GRID_DEFAULTS = {k: par.default
+                  for k, par in inspect.signature(default_lambda_grid).parameters.items()}
+
+
+def _lambda_grid(spec, key: str, *_) -> np.ndarray:
+    _reject_unknown(spec, set(_GRID_DEFAULTS), key)
+    g, unit = {**_GRID_DEFAULTS, **spec}, {"ok": lambda x: 0 < x <= 1, "domain": "in (0, 1]"}
+    return default_lambda_grid(_integer(g["num"], f"{key} num"),
+                               *(_number(g[k], f"{key} {k}", **unit) for k in ("lo", "hi")))
+
+
+def _constants(spec, key: str, *_) -> ConstantTable:
+    """Each stand-in a number > 0 or null (report-only); ito_band a number."""
+    _reject_unknown(spec, {f.name for f in fields(ConstantTable)}, key)
+    return ConstantTable(**{k: None if v is None and k != "ito_band" else
+                            _number(v, f"{key} {k}", **_POSITIVE) for k, v in spec.items()})
+
+
+# key -> kind; a job key whose default is None also takes null
+KINDS = {
+    "seed": partial(_integer, lo=0), "samples": partial(_integer, lo=2),
+    "mode": partial(_value, ok=lambda v: v in ("exact", "sampled"), domain="exact or sampled"),
+    "record_runtime": partial(_value, **_FLAG), "constants": _constants,
+    "p": _exponents, "q": _exponents, "norm_exp": partial(_number, **_POSITIVE),
+    "eps": partial(_number, ok=lambda x: 0 < x < 1, domain="a number in (0, 1)"),
+    "tol": partial(_number, **_POSITIVE), "n_samples": partial(_integer, lo=2),
+    **dict.fromkeys(("n_items", "n_atoms", "instances", "d1", "d2", "n", "d"), _integer),
+    "element": _element, "law": _law, "lambda_grid": _lambda_grid,
+    "a": lambda v, key, *_: _rows(v, key, partial(_number, what=key)),
+    "process": lambda v, key, _, base_dir: process_from_table(v, base_dir),
+    "family": lambda v, key, _, base_dir: [process_from_table(t, base_dir) for t in _list(v, key)],
+}
+
+
+def _complex(v) -> complex:
+    pair = isinstance(v, list) and len(v) == 2
+    return complex(*(_number(x, "cell entry") for x in (v if pair else [v])))
 
 
 def process_from_table(obj: dict, base_dir: str = ".") -> SimpleAdaptedProcess:
     """Build a deterministic process from its grid and cell table."""
-    obj = _resolve_file(obj, base_dir)
+    if isinstance(obj, dict) and set(obj) == {"file"}:
+        obj = _read_json(base_dir, obj["file"])
     _reject_unknown(obj, {"grid", "cells", "element"}, "process", {"grid", "cells"})
     grid_raw = obj["grid"]
     _reject_unknown(grid_raw, {"time_points", "marks"}, "process.grid", {"time_points", "marks"})
-    marks = grid_raw["marks"]
+    marks = _list(grid_raw["marks"], "process.grid.marks")
     for m in marks:
         _reject_unknown(m, {"label", "measure"}, "process.grid.marks[]", {"label", "measure"})
-    labels = tuple(m["label"] for m in marks)
-    measures = np.array([float(m["measure"]) for m in marks])
-    grid = GridPartition(np.asarray(grid_raw["time_points"], dtype=float),
-                         labels, measures)
-    elem_spec = obj.get("element", {"kind": "commutative", "weights": [1.0]})
-    es = element_space_of(elem_spec)
-    kind = elem_spec.get("kind", "matrix")
+    grid = GridPartition(
+        [_number(t, "time point") for t in _list(grid_raw["time_points"], "time_points")],
+        tuple(m["label"] for m in marks), [_number(m["measure"], "measure") for m in marks])
+    elem = _element(obj.get("element", SCALAR_ELEMENT), "process.element")
     cells = {}
-    for cell in obj["cells"]:
-        _reject_unknown(cell, {"i", "j", "value"}, "process.cells[]", {"i", "j", "value"})
-        cells[(int(cell["i"]), int(cell["j"]))] = _parse_values(cell["value"], kind)
-    return deterministic_process(grid, cells, es)
+    for c in _list(obj["cells"], "process.cells", empty_ok=True):
+        _reject_unknown(c, {"i", "j", "value"}, "process.cells[]", {"i", "j", "value"})
+        v = c["value"]
+        cells[(_integer(c["i"], "cell i", lo=0), _integer(c["j"], "cell j", lo=0))] = np.array(
+            [_complex(x) for x in _list(v, "cell value")] if elem["kind"] == "commutative"
+            else _rows(v, "cell value", _complex))
+    return deterministic_process(grid, cells, element_space_of(elem))
 
 
 # -- the check table -------------------------------------------------------------
@@ -156,37 +235,18 @@ REQUIRED = object()  # default of a key that every job of its check must give
 SCALAR_ELEMENT = {"kind": "commutative", "weights": [1.0]}
 
 
-def _sample_count(n, where: str) -> int:
-    """A Monte Carlo sample count: a CI needs at least 2 samples."""
-    try:
-        k = int(n)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where} must be an integer, got {n!r}") from None
-    if k < 2:
-        raise ConfigError(f"{where} must be at least 2, got {n!r}")
-    return k
-
-
-def _real(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
 def _stream(job_index: int, tag: str, k: int = 0) -> int:
     return (zlib.crc32(f"{tag}:{job_index}:{k}".encode()) & 0xFFFFFFFF) | (k << 32)
 
 
-def _as_list(x):
-    return list(x) if isinstance(x, (list, tuple)) else [x]
-
-
 def _points(job: dict, axes: tuple):
-    """(mixed-radix index, float exponents) over the job's exponent grid,
-    last axis fastest, radix 97 per axis."""
-    for point in itertools.product(*(enumerate(_as_list(job[a])) for a in axes)):
+    """(mixed-radix index, exponents) over the job's exponent grid, last axis
+    fastest, radix 97 per axis."""
+    for point in itertools.product(*(enumerate(job[a]) for a in axes)):
         key = 0
         for i, _ in point:
             key = key * 97 + i
-        yield key, [float(v) for _, v in point]
+        yield key, [v for _, v in point]
 
 
 def _swept(axes: tuple, draw, check):
@@ -198,7 +258,7 @@ def _swept(axes: tuple, draw, check):
     def run(job: dict, idx: int, cfg: ExperimentConfig) -> list:
         out = []
         for key, exps in _points(job, axes):
-            for inst in range(int(job["instances"])):
+            for inst in range(job["instances"]):
                 gen = philox(cfg.seed, _stream(idx, job["check"], key * 211 + inst))
                 out.append(check(job, cfg, draw(gen, job), *exps))
         return out
@@ -208,71 +268,36 @@ def _swept(axes: tuple, draw, check):
 
 def _fixed(axes: tuple, build, check):
     """Runner calling ``check(job, cfg, instance, *exponents)`` at each point
-    of the exponent grid of ``axes`` on the one instance ``build(job, cfg)``."""
+    of the exponent grid of ``axes`` on the one instance ``build(job)``."""
 
     def run(job: dict, idx: int, cfg: ExperimentConfig) -> list:
-        instance = build(job, cfg)
+        instance = build(job)
         return [check(job, cfg, instance, *exps) for _, exps in _points(job, axes)]
 
     return run
 
 
 def _elements(gen, job: dict) -> list:
-    return [random_element(gen, job["element"]) for _ in range(int(job["n_items"]))]
+    return [random_element(gen, job["element"]) for _ in range(job["n_items"])]
 
 
 def _sequence(gen, job: dict, element=None):
-    return random_independent_sequence(gen, int(job["n_items"]),
-                                       element or job["element"], int(job["n_atoms"]))
-
-
-def _process(job: dict, cfg: ExperimentConfig) -> SimpleAdaptedProcess:
-    return process_from_table(job["process"], cfg.base_dir)
-
-
-def _law_from(spec) -> RM.EntryLaw:
-    if spec == "rademacher":
-        return RM.rademacher_law()
-    if spec == "gaussian":
-        return RM.gaussian_law()
-    params = spec.get("two_atom") if isinstance(spec, dict) and len(spec) == 1 else None
-    if isinstance(params, dict):
-        _reject_unknown(params, {"a", "prob", "fourth_finite"}, "two_atom law")
-        try:
-            return RM.two_atom_law(float(params["a"]), float(params["prob"]),
-                                   bool(params.get("fourth_finite", True)))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad two_atom law {params!r}: {exc!r}") from None
-    raise ConfigError(f"unknown entry law {spec!r}")
+    return random_independent_sequence(gen, job["n_items"], element or job["element"],
+                                       job["n_atoms"])
 
 
 def _ensemble(job: dict, n: int, structure: str) -> RM.MatrixEnsemble:
-    d1 = int(job["d1"])
-    d2 = d1 if job["d2"] is None else int(job["d2"])
-    return RM.MatrixEnsemble(d1, d2, n, _law_from(job["law"]), structure)
-
-
-def _samples(job: dict, cfg: ExperimentConfig) -> int:
-    return cfg.samples if job["n_samples"] is None else int(job["n_samples"])
-
-
-def _run_poisson_moment_bounds(job: dict, idx: int, cfg: ExperimentConfig) -> list:
-    grid_spec = job["lambda_grid"]
-    grid = default_lambda_grid(int(grid_spec.get("num", 60)),
-                               float(grid_spec.get("lo", 1e-4)),
-                               float(grid_spec.get("hi", 1.0)))
-    return verify_poisson_moment_bounds(_as_list(job["p"]), grid, float(job["eps"]))
+    return RM.MatrixEnsemble(job["d1"], job["d2"] or job["d1"], n, job["law"], structure)
 
 
 _SEQUENCE_KEYS = {"p": 2.0, "q": 2.0, "n_items": 3, "n_atoms": 2,
                   "element": SCALAR_ELEMENT, "instances": 3}
 _MATRIX_KEYS = {"p": 2.0, "d1": 2, "d2": None, "law": "rademacher", "n_samples": None}
 
-# check id -> (keys with their defaults, runner(job, job index, cfg) -> reports).
-# A default of None is resolved by the runner: n_samples falls back to the
-# config's samples, d2 to d1, a to the d x d all-ones pattern.  Runners call
-# the checkers through their modules, so that wrappers installed on a module
-# attribute see every call.
+# check id -> (keys with their defaults, runner(typed job, job index, cfg) ->
+# reports).  Runners resolve a None default: n_samples to the config's
+# samples, d2 to d1, a to the d x d all-ones pattern.  They call the checkers
+# through their modules, so that wrappers on a module attribute see every call.
 CHECKS = {
     "khintchine": (
         {"p": 2.0, "q": 2.0, "n_items": 4, "element": {"kind": "matrix", "dims": [2, 2]},
@@ -283,7 +308,7 @@ CHECKS = {
         {"p": 4.0, "q": 2.0, "norm_exp": 2.0, "n_items": 4, "element": SCALAR_ELEMENT,
          "instances": 3},
         _swept(("p", "q"), _elements, lambda job, cfg, xs, p, q: C.check_kahane(
-            xs, p, q, norm_exp=float(job["norm_exp"]), seed=cfg.seed))),
+            xs, p, q, norm_exp=job["norm_exp"], seed=cfg.seed))),
     "symmetrization": (_SEQUENCE_KEYS, _swept(
         ("p", "q"), _sequence, lambda job, cfg, seq, p, q: C.check_symmetrization(
             seq, p, q, seed=cfg.seed))),
@@ -304,96 +329,70 @@ CHECKS = {
     "rosenthal_positive": (
         {"p": 3.0, "n_items": 4, "n_atoms": 2, "instances": 3},
         _swept(("p",), lambda gen, job: random_positive_sequence(
-            gen, int(job["n_items"]), int(job["n_atoms"])),
+            gen, job["n_items"], job["n_atoms"]),
             lambda job, cfg, seq, p: C.check_rosenthal_positive(seq, p, seed=cfg.seed))),
     "type_cotype": (
         {"q": 3.0, "n_items": 4, "element": SCALAR_ELEMENT, "instances": 3},
         _swept(("q",), _elements, lambda job, cfg, xs, q: C.check_type_cotype(
             xs, q, seed=cfg.seed))),
     "poisson_moment_bounds": (
-        {"p": [2, 3, 4], "lambda_grid": {}, "eps": 1e-12}, _run_poisson_moment_bounds),
+        {"p": [2, 3, 4], "lambda_grid": {}, "eps": 1e-12},
+        lambda job, idx, cfg: verify_poisson_moment_bounds(
+            job["p"], job["lambda_grid"], job["eps"])),
     "decoupling": (
         {"p": 2.0, "q": 2.0, "process": REQUIRED, "eps": 1e-10},
-        _fixed(("p", "q"), _process, lambda job, cfg, F, p, q: C.check_decoupling(
-            F, p, q, table=cfg.constants, eps=float(job["eps"]), seed=cfg.seed))),
+        _fixed(("p", "q"), lambda job: job["process"],
+               lambda job, cfg, F, p, q: C.check_decoupling(
+                   F, p, q, table=cfg.constants, eps=job["eps"], seed=cfg.seed))),
     "doob": (
         {"p": 2.0, "q": 2.0, "process": REQUIRED, "n_samples": None},
-        _fixed(("p", "q"), _process, lambda job, cfg, F, p, q: C.check_doob(
-            F, p, q, n_samples=_samples(job, cfg), seed=cfg.seed))),
+        _fixed(("p", "q"), lambda job: job["process"],
+               lambda job, cfg, F, p, q: C.check_doob(
+                   F, p, q, n_samples=job["n_samples"] or cfg.samples, seed=cfg.seed))),
     "ito_isomorphism": (
         {"p": 2.0, "q": 2.0, "family": REQUIRED, "tol": 1e-4},
-        _fixed(("p", "q"), lambda job, cfg: [process_from_table(tbl, cfg.base_dir)
-                                             for tbl in job["family"]],
+        _fixed(("p", "q"), lambda job: job["family"],
                lambda job, cfg, fam, p, q: C.check_ito_isomorphism(
-                   fam, p, q, table=cfg.constants, tol=float(job["tol"]),
+                   fam, p, q, table=cfg.constants, tol=job["tol"],
                    n_samples=cfg.samples, seed=cfg.seed))),
     "matrix_sum": (
         {**_MATRIX_KEYS, "n": 4},
-        _fixed(("p",), lambda job, cfg: _ensemble(job, int(job["n"]), "summand"),
+        _fixed(("p",), lambda job: _ensemble(job, job["n"], "summand"),
                lambda job, cfg, ens, p: RM.bound_matrix_sum(
-                   ens, p, n_samples=_samples(job, cfg), seed=cfg.seed,
+                   ens, p, n_samples=job["n_samples"] or cfg.samples, seed=cfg.seed,
                    force_mc=cfg.mode == "sampled"))),
     "matrix_entries": (
         _MATRIX_KEYS,
-        _fixed(("p",), lambda job, cfg: _ensemble(job, 1, "entries"),
+        _fixed(("p",), lambda job: _ensemble(job, 1, "entries"),
                lambda job, cfg, ens, p: RM.bound_entry_matrix(
-                   ens, p, n_samples=_samples(job, cfg), seed=cfg.seed,
+                   ens, p, n_samples=job["n_samples"] or cfg.samples, seed=cfg.seed,
                    force_mc=cfg.mode == "sampled"))),
     "latala": (
         _MATRIX_KEYS,
-        _fixed(("p",), lambda job, cfg: _ensemble(job, 1, "entries"),
+        _fixed(("p",), lambda job: _ensemble(job, 1, "entries"),
                lambda job, cfg, ens, p: RM.bound_latala(
-                   ens, p, n_samples=_samples(job, cfg), seed=cfg.seed,
+                   ens, p, n_samples=job["n_samples"] or cfg.samples, seed=cfg.seed,
                    table=cfg.constants))),
     "seginer": (
         {"p": 2.0, "a": None, "d": 4},
-        _fixed(("p",), lambda job, cfg: (np.ones((int(job["d"]),) * 2) if job["a"] is None
-                                         else np.asarray(job["a"], dtype=float)),
+        _fixed(("p",), lambda job: job["a"] or np.ones((job["d"],) * 2),
                lambda job, cfg, a, p: RM.seginer_ensemble(a, p, seed=cfg.seed))),
 }
 
 
-def resolve_check(job, where: str):
-    """(runner, job with defaults filled in) for one job of a config.
-
-    ConfigError on an unknown check id, an unknown or missing key, a
-    ``lambda_grid`` other than an object of num, lo and hi, an entry law that
-    is not one of the known laws, fewer than 2 Monte Carlo samples, a p or q
-    that is not a number or a non-empty list of numbers, a norm_exp that is
-    not a number, a d1, d2, n, d, n_items, n_atoms or instances that is not
-    an integer >= 1, an ``a`` that is not a non-empty 2-D array of numbers,
-    or a ``matrix_sum`` or ``matrix_entries`` p below 2.
-    """
-    if not isinstance(job, dict) or "check" not in job:
-        raise ConfigError(f"{where} must be an object with a \"check\" key")
-    cid = job["check"]
-    if cid not in CHECKS:
-        raise ConfigError(f"unknown check id {cid!r}")
+def resolve_check(job, where: str, base_dir: str = "."):
+    """(runner, typed job) for one job: each key of its check through its kind,
+    defaults filled in.  ConfigError on an unknown check id, an unknown or
+    missing key, or a bad value, also when a builder raises InvalidInputError."""
+    cid = job.get("check") if isinstance(job, dict) else None
+    _value(cid, f"{where} check", ok=lambda c: isinstance(c, str) and c in CHECKS,
+           domain="a known check id")
     keys, run = CHECKS[cid]
     where = f"{where} ({cid})"
     _reject_unknown(job, {"check", *keys}, where, [k for k, v in keys.items() if v is REQUIRED])
-    if "lambda_grid" in job:
-        _reject_unknown(job["lambda_grid"], {"num", "lo", "hi"}, f"lambda_grid in {where}")
-    if "n_samples" in job:
-        _sample_count(job["n_samples"], f"n_samples in {where}")
-    if "law" in job:
-        _law_from(job["law"])
-    job = {**keys, **job}
-    for k in ("p", "q", "norm_exp"):
-        v = job.get(k, 1)
-        swept = k != "norm_exp"
-        if not (_real(v) or swept and isinstance(v, list) and v and all(map(_real, v))):
-            raise ConfigError(f"{k} in {where} must be a number"
-                              f"{' or a non-empty list of numbers' if swept else ''}, got {v!r}")
-    for k in ("d1", "d2", "n", "d", "n_items", "n_atoms", "instances"):
-        v = job.get(k, 1)
-        if not (_real(v) and v >= 1 and v % 1 == 0 or k == "d2" and v is None):
-            raise ConfigError(f"{k} in {where} must be an integer of at least 1, got {v!r}")
-    a = job.get("a")
-    if a is not None and not (isinstance(a, list) and a and all(
-            isinstance(r, list) and len(r) == len(a[0]) > 0 and all(map(_real, r)) for r in a)):
-        raise ConfigError(f"a in {where} must be a non-empty 2-D array of numbers, got {a!r}")
-    for p in _as_list(job["p"]) if cid in ("matrix_sum", "matrix_entries") else ():
-        if not (_real(p) and p >= 2):
-            raise ConfigError(f"p in {where} must be a number of at least 2, got {p!r}")
-    return run, job
+    try:
+        return run, {"check": cid, **{k: None if v is None and job.get(k) is None
+                                      else KINDS[k](job.get(k, v), k, cid, base_dir)
+                                      for k, v in keys.items()}}
+    except (ConfigError, InvalidInputError) as exc:
+        raise ConfigError(f"{where}: {exc}") from None

@@ -164,8 +164,9 @@ def conjugate_exponent(p: float) -> float:
 def singular_values(values: np.ndarray) -> np.ndarray:
     """Singular values (descending) of matrices in the last two axes."""
     x = np.asarray(values, dtype=complex)
-    # 2^e with |entries| < 2^e, and 1 for an all-zero matrix
+    # 2^e > |entries|, 1 if all zero; >= 2^-1021 keeps complex division's 1 / scale finite
     scale = np.ldexp(1.0, np.frexp(np.abs(x).max(axis=(-2, -1)))[1])[..., None]
+    np.maximum(scale, 2.0 ** -1021, out=scale)
     x = x / scale[..., None]
     d1, d2 = x.shape[-2], x.shape[-1]
     if d1 >= d2:

@@ -396,3 +396,24 @@ def test_ito_isomorphism_scale_gap_can_fail(monkeypatch):
     rep = check_ito_isomorphism(fam, 4.0, 2.0)
     assert rep.details["scale_invariance_gap"] > 1e-7
     assert rep.status == "fail"
+
+
+def _has_nan(v) -> bool:
+    if isinstance(v, dict):
+        return any(map(_has_nan, v.values()))
+    if isinstance(v, (list, tuple)):
+        return any(map(_has_nan, v))
+    return isinstance(v, float) and math.isnan(v)
+
+
+@pytest.mark.parametrize("values", [[0.0], [0.0, 0.0], [0.0, 1.0]],
+                         ids=["one-zero", "all-zero", "zero-first"])
+def test_ito_isomorphism_zero_member_fails_without_nan(values):
+    # a zero first member has R = inf: the row fails instead of dividing by
+    # its zero norm, and an all-zero family's band is inf, not inf / inf
+    fam = [single_cell_process(lam, np.array([v]), ES)
+           for lam, v in zip((0.3, 0.6), values)]
+    rep = check_ito_isomorphism(fam, 3.0, 2.0)
+    assert rep.status == "fail"
+    assert rep.details["ratio_band"] == math.inf
+    assert not _has_nan([rep.lhs, rep.rhs, rep.constant, rep.details])

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from itolab.cli import CSV_COLUMNS, DEFAULT_BATTERIES, emit, main, run_jobs
-from itolab.config import (ConfigError, load_config, parse_config,
+from itolab.config import (CHECKS, KINDS, ConfigError, load_config, parse_config,
                            process_from_table)
 from itolab.report import CheckReport
 
@@ -62,52 +62,97 @@ _ONE_CELL = {"grid": {"time_points": [0.0, 1.0], "marks": [{"label": "A", "measu
              "cells": [{"i": 0, "j": 0, "value": [1.0]}]}
 
 
-@pytest.mark.parametrize("top, job", [
-    ({}, {"check": "matrix_sum", "law": "cauchy"}),
-    ({}, {"check": "latala", "law": {"two_atom": {"prob": 0.3}}}),
-    ({}, {"check": "doob"}),
-    ({}, {"check": "ito_isomorphism", "p": 2.0}),
-    ({}, {"check": "decoupling", "process": dict(_ONE_CELL, bogus=1)}),
-    ({}, {"check": "decoupling", "process": {"file": "no_such_process.json"}}),
-    ({}, {"check": "doob", "process": _ONE_CELL, "n_samples": 1}),
-    ({}, {"check": "matrix_sum", "n_samples": 0}),
-    ({"samples": 1}, {"check": "seginer"}),
-    ({}, {"check": "decoupling", "process": {"cells": []}}),
-    ({}, {"check": "decoupling", "process": {"grid": _ONE_CELL["grid"]}}),
-    ({}, {"check": "decoupling", "process": dict(_ONE_CELL, grid={
+_CELL_OUTSIDE = dict(_ONE_CELL, cells=[{"i": 5, "j": 0, "value": [1.0]}])
+_MEASURE_X = dict(_ONE_CELL, grid={"time_points": [0.0, 1.0],
+                                   "marks": [{"label": "A", "measure": "x"}]})
+
+_BAD_CONFIGS = {
+    "unknown-law": ({}, {"check": "matrix_sum", "law": "cauchy"}),
+    "two-atom-without-a": ({}, {"check": "latala", "law": {"two_atom": {"prob": 0.3}}}),
+    "doob-without-process": ({}, {"check": "doob"}),
+    "ito-without-family": ({}, {"check": "ito_isomorphism", "p": 2.0}),
+    "process-unknown-key": ({}, {"check": "decoupling", "process": dict(_ONE_CELL, bogus=1)}),
+    "missing-process-file": ({}, {"check": "decoupling",
+                                  "process": {"file": "no_such_process.json"}}),
+    "one-sample": ({}, {"check": "doob", "process": _ONE_CELL, "n_samples": 1}),
+    "zero-samples": ({}, {"check": "matrix_sum", "n_samples": 0}),
+    "one-top-level-sample": ({"samples": 1}, {"check": "seginer"}),
+    "process-without-grid": ({}, {"check": "decoupling", "process": {"cells": []}}),
+    "process-without-cells": ({}, {"check": "decoupling",
+                                   "process": {"grid": _ONE_CELL["grid"]}}),
+    "mark-without-label": ({}, {"check": "decoupling", "process": dict(_ONE_CELL, grid={
         "time_points": [0.0, 1.0], "marks": [{"measure": 0.5}]})}),
-    ({}, {"check": "decoupling", "process": dict(_ONE_CELL, grid={
+    "mark-without-measure": ({}, {"check": "decoupling", "process": dict(_ONE_CELL, grid={
         "time_points": [0.0, 1.0], "marks": [{"label": "A"}]})}),
-    ({}, {"check": "poisson_moment_bounds", "p": 2, "lambda_grid": {"nmu": 5}}),
-    ({}, {"check": "poisson_moment_bounds", "p": 2, "lambda_grid": [5, 1e-4, 1.0]}),
-    ({}, {"check": "seginer", "a": [1, 2]}),
-    ({}, {"check": "matrix_sum", "d1": 0}),
-    ({}, {"check": "matrix_sum", "n": 0}),
-    ({}, {"check": "matrix_entries", "d1": -1}),
-    ({}, {"check": "matrix_sum", "p": 1.5}),
-    ({}, {"check": "matrix_entries", "p": 1.5}),
-    ({}, {"check": "kahane", "p": "x"}),
-    ({}, {"check": "khintchine", "n_items": 0}),
-    ({}, {"check": "kahane", "p": []}),
-    ({}, {"check": "symmetrization", "instances": 0}),
-    ({}, {"check": "kahane", "norm_exp": [2.0, 3.0]}),
-], ids=["unknown-law", "two-atom-without-a", "doob-without-process",
-        "ito-without-family", "process-unknown-key", "missing-process-file",
-        "one-sample", "zero-samples", "one-top-level-sample", "process-without-grid",
-        "process-without-cells", "mark-without-label", "mark-without-measure",
-        "lambda-grid-unknown-key", "lambda-grid-list", "seginer-1d-a",
-        "matrix-sum-zero-d1", "matrix-sum-zero-n", "entries-negative-d1",
-        "matrix-sum-p-below-2", "entries-p-below-2", "kahane-string-p",
-        "khintchine-zero-items", "kahane-empty-p", "symmetrization-zero-instances",
-        "kahane-list-norm-exp"])
+    "lambda-grid-unknown-key": ({}, {"check": "poisson_moment_bounds", "p": 2,
+                                     "lambda_grid": {"nmu": 5}}),
+    "lambda-grid-list": ({}, {"check": "poisson_moment_bounds", "p": 2,
+                              "lambda_grid": [5, 1e-4, 1.0]}),
+    "seginer-1d-a": ({}, {"check": "seginer", "a": [1, 2]}),
+    "matrix-sum-zero-d1": ({}, {"check": "matrix_sum", "d1": 0}),
+    "matrix-sum-zero-n": ({}, {"check": "matrix_sum", "n": 0}),
+    "entries-negative-d1": ({}, {"check": "matrix_entries", "d1": -1}),
+    "matrix-sum-p-below-2": ({}, {"check": "matrix_sum", "p": 1.5}),
+    "entries-p-below-2": ({}, {"check": "matrix_entries", "p": 1.5}),
+    "kahane-string-p": ({}, {"check": "kahane", "p": "x"}),
+    "khintchine-zero-items": ({}, {"check": "khintchine", "n_items": 0}),
+    "kahane-empty-p": ({}, {"check": "kahane", "p": []}),
+    "symmetrization-zero-instances": ({}, {"check": "symmetrization", "instances": 0}),
+    "kahane-list-norm-exp": ({}, {"check": "kahane", "norm_exp": [2.0, 3.0]}),
+    "kahane-negative-p": ({}, {"check": "kahane", "p": -1}),
+    "kahane-q-below-1": ({}, {"check": "kahane", "q": 0.5}),
+    "string-eps": ({}, {"check": "poisson_moment_bounds", "eps": "x"}),
+    "decoupling-zero-eps": ({}, {"check": "decoupling", "process": _ONE_CELL, "eps": 0}),
+    "ito-negative-tol": ({}, {"check": "ito_isomorphism", "family": [_ONE_CELL], "tol": -1}),
+    "rosenthal-scalar-p-below-2": ({}, {"check": "rosenthal_scalar", "p": 1.5}),
+    "pq-ge2-p-below-2": ({}, {"check": "pq_ge2", "p": 1.5}),
+    "rosenthal-lq-p-1": ({}, {"check": "rosenthal_lq", "p": 1}),
+    "poisson-p-below-1": ({}, {"check": "poisson_moment_bounds", "p": [0.5]}),
+    "lambda-grid-zero-lo": ({}, {"check": "poisson_moment_bounds", "lambda_grid": {"lo": 0}}),
+    "lambda-grid-string-num": ({}, {"check": "poisson_moment_bounds",
+                                    "lambda_grid": {"num": "x"}}),
+    "empty-family": ({}, {"check": "ito_isomorphism", "family": []}),
+    "cell-outside-grid": ({}, {"check": "decoupling", "process": _CELL_OUTSIDE}),
+    "string-measure": ({}, {"check": "decoupling", "process": _MEASURE_X}),
+    "string-seed": ({"seed": "abc"}, {"check": "seginer"}),
+    "fractional-seed": ({"seed": 1.5}, {"check": "seginer"}),
+    "string-record-runtime": ({"record_runtime": "no"}, {"check": "seginer"}),
+    "string-constant": ({"constants": {"hj_factor": "x"}}, {"check": "seginer"}),
+    "null-ito-band": ({"constants": {"ito_band": None}}, {"check": "seginer"}),
+    "element-bogus-kind": ({}, {"check": "kahane", "element": {"kind": "bogus"}}),
+    "element-unknown-key": ({}, {"check": "kahane", "element": {"kind": "commutative",
+                                                                 "zzz": 1}}),
+    "element-negative-weight": ({}, {"check": "kahane", "element": {"kind": "commutative",
+                                                                     "weights": [-1]}}),
+    "element-one-dim": ({}, {"check": "khintchine", "element": {"kind": "matrix",
+                                                                 "dims": [2]}}),
+    "element-zero-dim": ({}, {"check": "khintchine", "element": {"kind": "matrix",
+                                                                  "dims": [0, 2]}}),
+    "process-element-bogus-kind": ({}, {"check": "decoupling", "process": dict(
+        _ONE_CELL, element={"kind": "bogus"})}),
+}
+
+
+@pytest.mark.parametrize("top, job", _BAD_CONFIGS.values(), ids=_BAD_CONFIGS.keys())
 def test_config_errors_exit_2(tmp_path, capsys, top, job):
-    # some of these are found only while the job runs (process tables and
-    # files are read then); all exit 2 with a one-line message
+    # every one exits 2 with a one-line message
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"version": 1, **top, "checks": [job]}))
     assert main(["suite", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("config error: ")
+
+
+@pytest.mark.parametrize("top, job", _BAD_CONFIGS.values(), ids=_BAD_CONFIGS.keys())
+def test_config_errors_are_found_at_parse_time(top, job):
+    # process tables and files are read while parsing, so no job runs
+    with pytest.raises(ConfigError):
+        parse_config({"version": 1, **top, "checks": [job]})
+
+
+def test_every_check_key_has_a_kind():
+    for cid, (keys, _) in CHECKS.items():
+        assert set(keys) <= set(KINDS), cid
 
 
 def test_type_cotype_rows_are_pinned():

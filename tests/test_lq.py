@@ -62,6 +62,14 @@ def test_singular_values_scale_exactly_by_powers_of_two():
     assert np.array_equal(singular_values(np.zeros((2, 2))), np.zeros(2))
 
 
+def test_singular_values_of_subnormal_matrix():
+    # a prescale of 2^-1073 would make numpy's complex division multiply by
+    # 1 / 2^-1073 = inf, and 0 * inf gives NaN singular values
+    tiny = np.array([[0.0, 0.0], [0.0, 5e-324]])
+    assert np.array_equal(singular_values(tiny), np.array([5e-324, 0.0]))
+    assert np.array_equal(singular_values(tiny * 2.0 ** 60), np.array([5e-324 * 2.0 ** 60, 0.0]))
+
+
 def test_norm_rejects_bad_input():
     with pytest.raises(InvalidInputError):
         LqElement(np.array([[np.inf, 0], [0, 1]]))
