@@ -3,8 +3,7 @@
 Subcommands: moments, rosenthal, integral, matrix, khintchine, suite.
 Exit codes: 0 all hard assertions passed, 1 a check failed, 2 invalid
 config, 3 resource budget exceeded.
-Report-only rows never affect the exit code.  ITOLAB_WORKERS sizes the work
-pool (default serial).
+Report-only rows never affect the exit code.
 """
 
 from __future__ import annotations
@@ -12,10 +11,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -39,14 +36,7 @@ def _run_job(run, job: dict, idx: int, cfg: ExperimentConfig) -> list[CheckRepor
 
 
 def run_jobs(cfg: ExperimentConfig) -> list[CheckReport]:
-    workers = int(os.environ.get("ITOLAB_WORKERS", "1") or "1")
-    jobs = list(enumerate(cfg.jobs))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda ij: _run_job(*ij[1], ij[0], cfg), jobs))
-    else:
-        results = [_run_job(run, job, i, cfg) for i, (run, job) in jobs]
-    reports = [r for chunk in results for r in chunk]
+    reports = [r for i, (run, job) in enumerate(cfg.jobs) for r in _run_job(run, job, i, cfg)]
     order = {FAIL: 0}
     reports.sort(key=lambda r: (order.get(r.status, 1), r.check_id,
                                 r.p if r.p is not None else -1.0,

@@ -120,15 +120,16 @@ def _rows(v, what: str, entry) -> list:
     return _value(rows, what, ok=lambda r: len(set(map(len, r))) == 1, domain="equal-length rows")
 
 
-# check id -> lowest p and q its checker accepts, where narrower than the
-# default 1 <= p, q < inf (ExponentPair); None is 1 < p, q, as rosenthal_lq needs
-_EXPONENT_FLOOR = {"matrix_sum": 2.0, "matrix_entries": 2.0, "rosenthal_scalar": 2.0,
-                   "pq_ge2": 2.0, "rosenthal_lq": None}
+# (check id, exponent key) -> lowest value its checker accepts, where narrower than
+# 1 <= p, q < inf (ExponentPair); None is above 1: rosenthal_lq, and Doob's p' < inf
+_EXPONENT_FLOOR = {("matrix_sum", "p"): 2.0, ("matrix_entries", "p"): 2.0,
+                   ("rosenthal_scalar", "p"): 2.0, ("pq_ge2", "p"): 2.0, ("pq_ge2", "q"): 2.0,
+                   ("rosenthal_lq", "p"): None, ("rosenthal_lq", "q"): None, ("doob", "p"): None}
 
 
 def _exponents(v, key: str, cid: str, *_) -> list:
     """A number or a non-empty list of numbers in the check's domain, as a list."""
-    floor = _EXPONENT_FLOOR.get(cid, 1.0)
+    floor = _EXPONENT_FLOOR.get((cid, key), 1.0)
     xs = [_number(x, key, ok=lambda x: x >= (floor or 1.0), domain="a number "
                   + ("above 1" if floor is None else f"of at least {floor:g}"))
           for x in (v if isinstance(v, list) and v else [v])]

@@ -21,7 +21,7 @@ with its probability, or per draw) is computed once; each moment reduces it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -111,7 +111,6 @@ class MatrixEnsemble:
     law: EntryLaw
     structure: str = "summand"
     scale: np.ndarray | None = None
-    _laws: dict = field(default_factory=dict, init=False, repr=False)  # see _norm_law
 
     def __post_init__(self):
         if self.structure not in ("summand", "entries"):
@@ -142,7 +141,7 @@ class MatrixEnsemble:
 
 
 def _operator_norms(mats: np.ndarray) -> np.ndarray:
-    return np.linalg.svd(mats, compute_uv=False)[..., 0]
+    return np.ascontiguousarray(np.linalg.svd(mats, compute_uv=False)[..., 0])
 
 
 def _summand_table(ens: MatrixEnsemble, replaced: int) -> np.ndarray | None:
@@ -156,27 +155,34 @@ def _summand_table(ens: MatrixEnsemble, replaced: int) -> np.ndarray | None:
 
 
 def _law_chunk(ens: MatrixEnsemble, vals: np.ndarray, idx, table) -> tuple:
-    """(singular values of each sum, largest summand norm) of summands ``vals``
+    """(operator norm of each sum, largest summand norm) of summands ``vals``
     (B, n, d1, d2); a table is read at the pattern codes of atom indices ``idx``."""
-    sv = np.linalg.svd(vals.sum(axis=1), compute_uv=False)
+    top = _operator_norms(vals.sum(axis=1))
     if ens.n == 1:
-        return sv, np.ascontiguousarray(sv[:, 0])
+        return top, top
     if table is None:
-        return sv, _operator_norms(vals).max(axis=1)
+        return top, _operator_norms(vals).max(axis=1)
     place = len(ens.law.atoms) ** np.arange(ens.d1 * ens.d2)
-    return sv, table[idx.reshape(len(vals), ens.n, -1) @ place].max(axis=1)
+    return top, table[idx.reshape(len(vals), ens.n, -1) @ place].max(axis=1)
+
+
+_last_law: dict = {}  # content key -> the last law _norm_law built
 
 
 def _norm_law(ens: MatrixEnsemble, n_samples: int | None = None, seed: int = 0,
               stream: int = 0) -> list:
-    """Chunks (sum singular values, largest summand norm, probabilities) over
+    """Chunks (sum operator norm, largest summand norm, probabilities) over
     every entry configuration in enumeration order when ``n_samples`` is None,
     else one chunk of draws from Philox (seed, stream) with probabilities
-    None.  Memoised on the ensemble by (n_samples, seed, stream)."""
-    key = (n_samples, seed, stream)
-    if key in ens._laws:
-        return ens._laws[key]
+    None.  Keeps the last law built, keyed by what decides it: the shape, the
+    entry law, the scale pattern and, when sampled, (n_samples, seed, stream)."""
     law, size = ens.law, (ens.n, ens.d1, ens.d2)
+    atoms = None if law.atoms is None else (law.atoms.tobytes(), law.probs.tobytes())
+    key = (size, law.name, atoms, ens.scale_matrix.tobytes(),
+           None if n_samples is None else (n_samples, seed, stream))
+    if key in _last_law:
+        return _last_law[key]
+    _last_law.clear()
     batch = len(law.atoms) ** ens.entry_count() if n_samples is None else n_samples
     table = _summand_table(ens, batch * ens.n)
     if n_samples is None:
@@ -193,23 +199,23 @@ def _norm_law(ens: MatrixEnsemble, n_samples: int | None = None, seed: int = 0,
         idx = None if table is None else law.sample_indices(gen, shape)
         vals = (law.sample(gen, shape) if idx is None else law.atoms[idx]) * ens.scale_matrix
         chunks = [(*_law_chunk(ens, vals, idx, table), None)]
-    ens._laws[key] = chunks
+    _last_law[key] = chunks
     return chunks
 
 
 def _enumerate_stats(ens: MatrixEnsemble, p: float) -> tuple[float, float]:
     """Exact ((E ||sum||^p)^(1/p), (E max_i ||xi_i||^p)^(1/p))."""
     sum_pow = max_pow = 0.0
-    for sv, top, pr in _norm_law(ens):
-        sum_pow += float((pr * sv[:, 0] ** p).sum())
-        max_pow += float((pr * top ** p).sum())
+    for top, emax, pr in _norm_law(ens):
+        sum_pow += float((pr * top ** p).sum())
+        max_pow += float((pr * emax ** p).sum())
     return sum_pow ** (1.0 / p), max_pow ** (1.0 / p)
 
 
 def _sample_stats(ens: MatrixEnsemble, p: float, n_samples: int, seed: int, stream: int):
     """Monte Carlo ((est, ci), (est, ci)) for the same two statistics."""
-    (sv, top, _), = _norm_law(ens, n_samples, seed, stream)
-    return moment_ci(sv[:, 0], p), moment_ci(top, p)
+    (top, emax, _), = _norm_law(ens, n_samples, seed, stream)
+    return moment_ci(top, p), moment_ci(emax, p)
 
 
 def _moments(ens: MatrixEnsemble, p: float, n_samples: int, seed: int, stream: int,

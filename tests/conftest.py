@@ -1,5 +1,8 @@
 import hypothesis
 import numpy as np
+import pytest
+
+from itolab import randmat
 
 np.seterr(all="warn", under="ignore")
 
@@ -8,3 +11,19 @@ hypothesis.settings.register_profile(
     suppress_health_check=[hypothesis.HealthCheck.too_slow])
 hypothesis.settings.register_profile("fast", max_examples=8, deadline=None)
 hypothesis.settings.load_profile("default")
+
+
+@pytest.fixture
+def law_builds(monkeypatch):
+    """A list that gets one entry, the ensemble, per operator-norm law built,
+    starting from an empty law memo."""
+    builds = []
+    monkeypatch.setattr(randmat, "_last_law", {})
+    table = randmat._summand_table  # called once per law
+
+    def counted(ens, replaced):
+        builds.append(ens)
+        return table(ens, replaced)
+
+    monkeypatch.setattr(randmat, "_summand_table", counted)
+    return builds

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import runpy
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,9 @@ from itolab.cli import CSV_COLUMNS, DEFAULT_BATTERIES, emit, main, run_jobs
 from itolab.config import (CHECKS, KINDS, ConfigError, load_config, parse_config,
                            process_from_table)
 from itolab.report import CheckReport
+
+PERFBENCH = Path(__file__).parents[1] / "perfbench"
+WORKLOADS = runpy.run_path(str(PERFBENCH / "workloads.py"))["WORKLOADS"]
 
 
 def test_parse_config_rejects_unknown_keys():
@@ -107,6 +111,9 @@ _BAD_CONFIGS = {
     "rosenthal-scalar-p-below-2": ({}, {"check": "rosenthal_scalar", "p": 1.5}),
     "pq-ge2-p-below-2": ({}, {"check": "pq_ge2", "p": 1.5}),
     "rosenthal-lq-p-1": ({}, {"check": "rosenthal_lq", "p": 1}),
+    "doob-p-1-zero-process": ({}, {"check": "doob", "p": 1, "process": dict(
+        _ONE_CELL, cells=[{"i": 0, "j": 0, "value": [0.0]}])}),
+    "doob-p-1": ({}, {"check": "doob", "p": 1, "process": _ONE_CELL}),
     "poisson-p-below-1": ({}, {"check": "poisson_moment_bounds", "p": [0.5]}),
     "lambda-grid-zero-lo": ({}, {"check": "poisson_moment_bounds", "lambda_grid": {"lo": 0}}),
     "lambda-grid-string-num": ({}, {"check": "poisson_moment_bounds",
@@ -148,6 +155,12 @@ def test_config_errors_are_found_at_parse_time(top, job):
     # process tables and files are read while parsing, so no job runs
     with pytest.raises(ConfigError):
         parse_config({"version": 1, **top, "checks": [job]})
+
+
+def test_doob_takes_q_1():
+    # Doob's p must exceed 1 (see _BAD_CONFIGS); its q may be 1
+    cfg = parse_config({"version": 1, "checks": [{"check": "doob", "q": 1, "process": _ONE_CELL}]})
+    assert cfg.jobs[0][1]["q"] == [1.0]
 
 
 def test_every_check_key_has_a_kind():
@@ -212,14 +225,31 @@ def test_deterministic_csv_bytes(tmp_path):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
-def test_default_suite_csv_is_byte_identical_to_reference(tmp_path, monkeypatch):
-    # the benchmark's reference digest of `itolab suite --out` at the default
-    # seed; a change that moves any suite number has to say so and rewrite it
-    ref = json.loads((Path(__file__).parents[1] / "perfbench" / "reference.json").read_text())
-    monkeypatch.delenv("ITOLAB_WORKERS", raising=False)
-    out = tmp_path / "suite.csv"
-    assert main(["suite", "--out", str(out)]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == ref["suite"]["csv_sha256"]
+@pytest.mark.parametrize("workload", ["suite", "enumerate", "sampled"])
+def test_default_suite_csv_is_byte_identical_to_reference(tmp_path, workload):
+    # the benchmark's reference digests at the default seed: `itolab suite
+    # --out`, and the exact and Monte Carlo randmat workloads through --config;
+    # a change that moves any of their numbers has to say so and rewrite them
+    ref = json.loads((PERFBENCH / "reference.json").read_text())[workload]
+    args = []
+    if workload != "suite":
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(WORKLOADS[workload](ref["seed"])))
+        args = ["--config", str(cfg)]
+    out = tmp_path / "out.csv"
+    assert main(["suite", *args, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == ref["csv_sha256"]
+
+
+@pytest.mark.parametrize("workload, builds", [("suite", 3), ("enumerate", 3), ("sampled", 6)])
+def test_operator_norm_laws_built_per_pass(law_builds, workload, builds):
+    # equal matrix ensembles of consecutive jobs share one law, and the first
+    # matrix job of a pass never has the last one's law
+    cfg = parse_config(WORKLOADS[workload](12345))
+    for _ in range(2):
+        law_builds.clear()
+        run_jobs(cfg)
+        assert len(law_builds) == builds
 
 
 def test_emit_json_round_trip(tmp_path):
@@ -294,17 +324,6 @@ def test_runtime_zeroed_by_default(tmp_path):
     emit(reports, str(out), "csv")
     row = out.read_text().splitlines()[1].split(",")
     assert row[CSV_COLUMNS.index("runtime_ms")] == "0"
-
-
-def test_worker_pool_same_results(tmp_path, monkeypatch):
-    cfg = parse_config({"version": 1, "seed": 123, "checks": [
-        {"check": "khintchine", "p": 2.0, "q": 2.0, "n_items": 3, "instances": 2},
-        {"check": "rosenthal_scalar", "p": 3.0, "n_items": 3, "instances": 2}]})
-    serial = run_jobs(cfg)
-    monkeypatch.setenv("ITOLAB_WORKERS", "4")
-    parallel = run_jobs(cfg)
-    assert [r.lhs for r in serial] == [r.lhs for r in parallel]
-    assert [r.check_id for r in serial] == [r.check_id for r in parallel]
 
 
 def test_sampled_mode_forces_monte_carlo(tmp_path):

@@ -70,6 +70,13 @@ def test_singular_values_of_subnormal_matrix():
     assert np.array_equal(singular_values(tiny * 2.0 ** 60), np.array([5e-324 * 2.0 ** 60, 0.0]))
 
 
+def test_singular_values_of_matrix_near_overflow():
+    # an entry of at least 2^1023 must not make the power-of-two prescale inf
+    # (inf * 0 gave NaN); the Gram route cannot resolve sigma_2 = 1 against it
+    sv = singular_values(np.array([[1.7e308, 0.0], [0.0, 1.0]]))
+    assert np.isfinite(sv).all() and sv[0] == 1.7e308
+
+
 def test_norm_rejects_bad_input():
     with pytest.raises(InvalidInputError):
         LqElement(np.array([[np.inf, 0], [0, 1]]))

@@ -1,6 +1,7 @@
 import math
 import runpy
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -304,30 +305,42 @@ def test_entry_latala_seginer_law_is_bit_identical_to_reference(monkeypatch, law
     _with_reference(monkeypatch, run)
 
 
-def test_law_memo_is_keyed_by_samples_seed_and_stream():
-    def fresh():
-        return MatrixEnsemble(2, 2, 3, rademacher_law())
+def test_law_memo_is_keyed_by_content(law_builds):
+    def summands(scale=None):
+        return MatrixEnsemble(2, 2, 3, rademacher_law(), "summand", scale)
 
-    shared = fresh()
-    calls = [{}, {"force_mc": True, "n_samples": 200, "seed": 1},
-             {"force_mc": True, "n_samples": 200, "seed": 2},
-             {"force_mc": True, "n_samples": 300, "seed": 2}]
-    got = [_bits(bound_matrix_sum(shared, 3.0, **kw)) for kw in calls]
-    assert got == [_bits(bound_matrix_sum(fresh(), 3.0, **kw)) for kw in calls]
-    assert len(set(got)) == len(calls)
-    # a second exponent reuses the laws already there
-    bound_matrix_sum(shared, 4.5, **calls[1])
-    assert len(shared._laws) == len(calls)
+    def entries(d):
+        return MatrixEnsemble(d, d, 1, rademacher_law(), "entries")
 
-    # 2^25 configurations: both take the sampled path, streams 1 and 2
-    def entries():
-        return MatrixEnsemble(5, 5, 1, rademacher_law(), "entries")
+    draws = [{"n_samples": 200, "seed": 1}, {"n_samples": 200, "seed": 2},
+             {"n_samples": 300, "seed": 2}]
+    calls = [
+        # exact: equal ensembles built apart share one law at every p, and an
+        # all-ones pattern is no pattern; so do matrix_entries, latala's two
+        # moments and seginer's all-ones a, whatever their streams
+        *(partial(bound_matrix_sum, summands(), p) for p in (3.0, 4.5)),
+        partial(bound_matrix_sum, summands(np.ones((2, 2))), 3.0),
+        partial(bound_entry_matrix, entries(3), 3.0),
+        partial(bound_latala, entries(3), 3.0),
+        partial(seginer_ensemble, np.ones((3, 3)), 3.0),
+        # sampled: one law per (n_samples, seed, stream), shared across p
+        *(partial(bound_matrix_sum, summands(), p, force_mc=True, **kw)
+          for kw in draws for p in (3.0, 4.5)),
+        # 2^25 configurations: streams 1, 2 (both latala moments) and 3
+        partial(bound_entry_matrix, entries(5), 3.0, n_samples=200, seed=4),
+        partial(bound_latala, entries(5), 3.0, n_samples=200, seed=4),
+        partial(seginer_ensemble, np.ones((5, 5)), 3.0, n_samples=200, seed=4),
+    ]
+    got = [_bits(call()) for call in calls]
+    assert len(law_builds) == 2 + len(draws) + 3
 
-    shared = entries()
-    for fn in (bound_entry_matrix, bound_latala):
-        assert (_bits(fn(shared, 3.0, n_samples=200, seed=4))
-                == _bits(fn(entries(), 3.0, n_samples=200, seed=4)))
-    assert len(shared._laws) == 2
+    def fresh(call):
+        randmat._last_law.clear()
+        return _bits(call())
+
+    assert got == [fresh(call) for call in calls]
+    assert len({fresh(partial(bound_matrix_sum, summands(), 3.0, force_mc=True, **kw))
+                for kw in draws}) == len(draws)
 
 
 def test_matrix_sweep_script_rows(monkeypatch, capsys):
