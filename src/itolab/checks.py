@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lq import InvalidInputError, LqElement, batch_norm_q
-from .prob import exact_moment, moment_ci, sign_matrix
+from . import integrator
+from .lq import InvalidInputError, LqElement, batch_norm_q, conjugate_exponent
+from .prob import BudgetExceededError, exact_moment, moment_ci, sign_matrix
 from .report import (CONFIGURED, EXPLICIT, FAIL, MEASURED, PASS, REPORT_ONLY,
                      CheckReport)
 from .seqnorms import (LqSequence, NormExpr, RegimeSpec, composite_norm,
@@ -23,6 +24,8 @@ from .seqnorms import (LqSequence, NormExpr, RegimeSpec, composite_norm,
 from .sumopt import pow2_scale
 
 REL_SLACK = 1e-12
+# optimizer budget of check_rosenthal_lq and check_ito_isomorphism
+CHECK_RESTARTS, CHECK_MAX_ITER = 4, 1500
 
 
 # -- constant table ------------------------------------------------------------
@@ -152,10 +155,20 @@ def max_item_moment(seq: LqSequence, p: float, q: float) -> float:
     return float(((norms.max(axis=0) ** p) @ seq.space.probs) ** (1.0 / p))
 
 
-def _require_mean_zero(seq: LqSequence, tol: float = 1e-9):
+def relative_slack(tolerance: float, details: dict, *sides: float,
+                   floor: float = 1e-300) -> float:
+    """tolerance times the largest side, at least ``floor``; NaN, noted in
+    ``details``, when a side is not finite, so that no comparison with it holds."""
+    if all(map(math.isfinite, sides)):
+        return tolerance * max(*sides, floor)
+    details["note"] = "a side is not finite: no verdict"
+    return math.nan
+
+
+def _require_mean_zero(seq: LqSequence):
     m = np.tensordot(seq.space.probs, seq.values, axes=(0, 1))
     scale = max(float(np.abs(seq.values).max()), 1e-300)
-    if float(np.abs(m).max()) > tol * scale:
+    if float(np.abs(m).max()) > 1e-9 * scale:
         raise InvalidInputError("sequence items must be mean-zero")
 
 
@@ -175,12 +188,12 @@ def check_khintchine(xs: list[LqElement], p: float, q: float, *,
     lhs_2 = rademacher_sum_moment(xs, 2.0, q)
     col, row = square_function_sides(xs, q)
     sq_max = max(col, row)
-    scale = max(lhs_p, sq_max, 1e-300)
     details = {"moment_p": lhs_p, "moment_2": lhs_2, "column": col, "row": row}
     if q >= 2:
         K = khintchine_upper(p, q)
-        ok_lower = lhs_2 >= sq_max - tolerance * scale
-        ok_upper = lhs_p <= K * sq_max + tolerance * scale
+        slack = relative_slack(tolerance, details, lhs_p, sq_max)
+        ok_lower = lhs_2 >= sq_max - slack
+        ok_upper = lhs_p <= K * sq_max + slack
         details["lower_margin"] = lhs_2 - sq_max
         status = PASS if (ok_lower and ok_upper) else FAIL
         return CheckReport("khintchine", lhs_p, sq_max, K, EXPLICIT, status,
@@ -195,7 +208,7 @@ def check_khintchine(xs: list[LqElement], p: float, q: float, *,
     details["decomposition_infimum_upper"] = inf_value
     lhs_q = rademacher_sum_moment(xs, q, q)
     details["reverse_ratio"] = inf_value / lhs_q if lhs_q > 0 else 0.0
-    ok_upper = lhs_2 <= inf_value + tolerance * scale
+    ok_upper = lhs_2 <= inf_value + relative_slack(tolerance, details, lhs_2, inf_value)
     return CheckReport("khintchine", lhs_2, inf_value, 1.0, EXPLICIT,
                        PASS if ok_upper else FAIL, p=p, q=q,
                        tolerance=tolerance, seed=seed, details=details)
@@ -207,29 +220,29 @@ def check_symmetrization(seq: LqSequence, p: float, q: float, *,
     _require_mean_zero(seq)
     plain = exact_moment(seq.sum_variable(), p, q)
     rand = randomized_sum_moment(seq, p, q)
-    scale = max(plain, rand, 1e-300)
-    ok = (rand <= 2.0 * plain + tolerance * scale) and (rand >= 0.5 * plain - tolerance * scale)
+    details = {"plain": plain, "randomized": rand,
+               "ratio": rand / plain if plain > 0 else math.nan}
+    slack = relative_slack(tolerance, details, plain, rand)
+    ok = (rand <= 2.0 * plain + slack) and (rand >= 0.5 * plain - slack)
     return CheckReport("symmetrization", rand, plain, 2.0, EXPLICIT,
                        PASS if ok else FAIL, p=p, q=q, tolerance=tolerance, seed=seed,
-                       details={"plain": plain, "randomized": rand,
-                                "ratio": rand / plain if plain > 0 else math.nan})
+                       details=details)
 
 
 def check_kahane(xs: list[LqElement], p: float, q: float, *, norm_exp: float = 2.0,
-                 tolerance: float = REL_SLACK, seed: int | None = None) -> CheckReport:
+                 seed: int | None = None) -> CheckReport:
     """Moment comparison of Rademacher sums: p-th vs q-th moment of the same
     Banach norm (exponent ``norm_exp``)."""
     m_p = rademacher_sum_moment(xs, p, norm_exp)
     m_q = rademacher_sum_moment(xs, q, norm_exp)
+    details = {"ratio": m_p / m_q if m_q > 0 else math.nan}
     if q <= 1:
         return CheckReport("kahane", m_p, m_q, math.nan, MEASURED, REPORT_ONLY,
-                           p=p, q=q, seed=seed,
-                           details={"ratio": m_p / m_q if m_q > 0 else math.nan})
+                           p=p, q=q, seed=seed, details=details)
     bound = kahane_kappa(p, q)
-    ok = m_p <= bound * m_q + tolerance * max(m_p, m_q, 1e-300)
+    ok = m_p <= bound * m_q + relative_slack(REL_SLACK, details, m_p, m_q)
     return CheckReport("kahane", m_p, m_q, bound, EXPLICIT, PASS if ok else FAIL,
-                       p=p, q=q, tolerance=tolerance, seed=seed,
-                       details={"ratio": m_p / m_q if m_q > 0 else math.nan})
+                       p=p, q=q, tolerance=REL_SLACK, seed=seed, details=details)
 
 
 def check_rosenthal_scalar(seq: LqSequence, p: float, *,
@@ -244,14 +257,14 @@ def check_rosenthal_scalar(seq: LqSequence, p: float, *,
     term_p = norm_D(seq, p, 2.0)
     term_2 = norm_D(seq, 2.0, 2.0)
     rhs_max = max(term_p, term_2)
-    scale = max(moment, rhs_max, 1e-300)
-    ok_lower = rhs_max <= 2.0 * moment + tolerance * scale
     details = {"moment": moment, "term_p": term_p, "term_2": term_2,
                "upper_shape": p / math.log(max(p, 1.0 + 1e-9))}
+    slack = relative_slack(tolerance, details, moment, rhs_max)
+    ok_lower = rhs_max <= 2.0 * moment + slack
     status = PASS if ok_lower else FAIL
     if table.rosenthal_factor is not None:
         c = table.rosenthal_factor * details["upper_shape"]
-        ok_upper = moment <= c * rhs_max + tolerance * scale
+        ok_upper = moment <= c * rhs_max + slack
         status = PASS if (ok_lower and ok_upper) else FAIL
         details["upper_constant"] = c
     return CheckReport("rosenthal_scalar", rhs_max, moment, 2.0, EXPLICIT, status,
@@ -319,22 +332,20 @@ def check_pq_ge2_equivalence(seq: LqSequence, p: float, q: float, *,
     inner_c = c_pq(p / 2.0, q / 2.0)
     rhs_upper = max(s_col, s_row, inner_c * little)
     rhs_lower = max(little / kahane_kappa(q, p), s_col, s_row)
-    scale = max(moment, rhs_upper, 1e-300)
-    ok_upper = moment <= upper_c * rhs_upper + tolerance * scale
-    ok_lower = moment >= 0.5 * rhs_lower - tolerance * scale
     details = {"moment": moment, "s_column": s_col, "s_row": s_row,
                "little_rosenthal": little, "upper_constant": upper_c,
                "inner_constant": inner_c,
                "upper_slack": upper_c * rhs_upper - moment,
                "lower_slack": moment - 0.5 * rhs_lower}
+    slack = relative_slack(tolerance, details, moment, rhs_upper)
+    ok_upper = moment <= upper_c * rhs_upper + slack
+    ok_lower = moment >= 0.5 * rhs_lower - slack
     return CheckReport("pq_ge2", moment, rhs_upper, upper_c, EXPLICIT,
                        PASS if (ok_upper and ok_lower) else FAIL,
                        p=p, q=q, tolerance=tolerance, seed=seed, details=details)
 
 
-def check_rosenthal_lq(seq: LqSequence, p: float, q: float, *, tol: float = 1e-4,
-                       tolerance: float = 1e-9, seed: int = 0,
-                       restarts: int = 4, max_iter: int = 1500) -> CheckReport:
+def check_rosenthal_lq(seq: LqSequence, p: float, q: float, *, seed: int = 0) -> CheckReport:
     """Sum moment vs the six-regime composite norm.
 
     The composite ratio is always recorded.  Explicit-constant sub-bounds are
@@ -342,19 +353,21 @@ def check_rosenthal_lq(seq: LqSequence, p: float, q: float, *, tol: float = 1e-4
     constant-2 square-function bounds, and the constant-4 decomposition bound
     for p, q <= 2.  Mixed regimes stay report-only.
     """
+    tol, tolerance = 1e-4, 1e-9
     mode = "commutative" if seq.kind == "commutative" else "noncommutative"
     _require_mean_zero(seq)
     scale0 = pow2_scale(float(np.abs(seq.values).max()))
     seq = seq.scaled(1.0 / scale0)
     moment = exact_moment(seq.sum_variable(), p, q)
     spec = regime_select(p, q, mode)
-    comp = composite_norm(seq, spec, tol, restarts=restarts, max_iter=max_iter, seed=seed)
+    comp = composite_norm(seq, spec, tol, restarts=CHECK_RESTARTS, max_iter=CHECK_MAX_ITER,
+                          seed=seed)
     rhs = comp.value
     ratio = moment / rhs if rhs > 0 else (0.0 if moment == 0 else math.inf)
     details = {"ratio": ratio, "case_id": spec.case_id, "node_values": comp.node_values}
     hard: list[bool] = []
     s_col, s_row = norm_S(seq, q, "column"), norm_S(seq, q, "row")
-    slack = tolerance * max(moment, rhs, s_col, s_row, 1e-300)
+    slack = relative_slack(tolerance, details, moment, rhs, s_col, s_row)
     if p >= 2 and q >= 2:
         sub = check_pq_ge2_equivalence(seq, p, q, tolerance=tolerance)
         details["explicit_two_sided"] = sub.status
@@ -367,7 +380,8 @@ def check_rosenthal_lq(seq: LqSequence, p: float, q: float, *, tol: float = 1e-4
         else:
             tree = NormExpr("sum", None, (NormExpr("atom", "S_c"), NormExpr("atom", "S_r")))
             inf_up = composite_norm(seq, RegimeSpec(0, p, q, mode, tree), tol,
-                                    restarts=restarts, max_iter=max_iter, seed=seed).value
+                                    restarts=CHECK_RESTARTS, max_iter=CHECK_MAX_ITER,
+                                    seed=seed).value
         hard.append(moment <= 4.0 * inf_up + slack)
         details["square_decomposition_upper"] = inf_up
     if hard:
@@ -400,25 +414,20 @@ def check_type_cotype(xs: list[LqElement], q: float, *, seed: int | None = None)
 # -- integral checks -------------------------------------------------------------
 
 
-def check_decoupling(F, p: float, q: float, *, t: float | None = None, B=None,
-                     table: ConstantTable = DEFAULT_TABLE, eps: float = 1e-10,
-                     budget: int | None = None, tolerance: float = 1e-8,
+def check_decoupling(F, p: float, q: float, *, table: ConstantTable = DEFAULT_TABLE,
+                     eps: float = 1e-10, tolerance: float = 1e-8,
                      seed: int | None = None) -> CheckReport:
-    """Coupled vs decoupled integral moments.
+    """Coupled vs decoupled integral moments at the final time.
 
     Deterministic integrands have identical laws on both sides, so the ratio
     is asserted to be 1 within the truncation tolerance.  Adapted integrands
     are a recorded ratio unless a stand-in martingale-transform constant is
     configured.
     """
-    from .integrator import build_exact_model, integrate_exact
-
-    kw = {} if budget is None else {"budget": budget}
-    model = build_exact_model(F, eps, decoupled=True, **kw)
-    if t is None:
-        t = float(F.grid.time_points[-1])
-    lhs = exact_moment(integrate_exact(model, t, B), p, q)
-    rhs = exact_moment(integrate_exact(model, t, B, use_copy=True), p, q)
+    model = integrator.build_exact_model(F, eps, decoupled=True)
+    t = float(F.grid.time_points[-1])
+    lhs = exact_moment(integrator.integrate_exact(model, t), p, q)
+    rhs = exact_moment(integrator.integrate_exact(model, t, use_copy=True), p, q)
     ratio = lhs / rhs if rhs > 0 else (1.0 if lhs == 0 else math.inf)
     details = {"ratio": ratio, "truncation_tail": model.truncation_tail,
                "deterministic": F.is_deterministic}
@@ -428,7 +437,7 @@ def check_decoupling(F, p: float, q: float, *, t: float | None = None, B=None,
                            PASS if ok else FAIL, p=p, q=q, tolerance=tolerance,
                            seed=seed, details=details)
     if table.umd_constant is not None:
-        ok = lhs <= table.umd_constant * rhs + tolerance * max(lhs, rhs, 1e-300)
+        ok = lhs <= table.umd_constant * rhs + relative_slack(tolerance, details, lhs, rhs)
         return CheckReport("decoupling", lhs, rhs, table.umd_constant, CONFIGURED,
                            PASS if ok else FAIL, p=p, q=q, tolerance=tolerance,
                            seed=seed, details=details)
@@ -436,12 +445,34 @@ def check_decoupling(F, p: float, q: float, *, t: float | None = None, B=None,
                        p=p, q=q, seed=seed, details=details)
 
 
+# truncation and atom budget of the exact Itô path; above it, Monte Carlo
+ITO_EPS, ITO_EXACT_BUDGET = 1e-10, 100_000
+
+
+def _ito_member(F, p: float, q: float, tol: float, n_samples: int, seed: int,
+                stream: int) -> tuple[float, float, bool, float]:
+    """(terminal moment, its 3-sigma CI half-width, Monte Carlo?, regime
+    process norm) of one process at its final time: exact on the truncated
+    product space where it fits the budget, else from sampled paths."""
+    t = float(F.grid.time_points[-1])
+    try:
+        model = integrator.build_exact_model(F, ITO_EPS, ITO_EXACT_BUDGET)
+        moment, ci = exact_moment(integrator.integrate_exact(model, t), p, q), 0.0
+    except BudgetExceededError:
+        model = None
+        norms = integrator.sample_paths(F, t, None, q, n_samples, seed, stream=stream)
+        moment, ci = moment_ci(norms[:, -1], p)
+        ci *= 3.0
+    value = integrator.process_norm(F, t, None, p, q, "I_regime", tol, model=model,
+                                    restarts=CHECK_RESTARTS, max_iter=CHECK_MAX_ITER,
+                                    seed=seed)
+    return moment, ci, model is None, value
+
+
 def check_ito_isomorphism(family: list, p: float, q: float, *,
-                          table: ConstantTable = DEFAULT_TABLE, B=None,
-                          eps: float = 1e-10, exact_budget: int = 100_000,
+                          table: ConstantTable = DEFAULT_TABLE,
                           n_samples: int = 10_000, seed: int = 0,
-                          tol: float = 1e-4, restarts: int = 4,
-                          max_iter: int = 1500) -> CheckReport:
+                          tol: float = 1e-4) -> CheckReport:
     """Stability of R(F) = terminal moment / regime process norm over a family.
 
     Exact enumeration where the truncated product space fits the budget,
@@ -449,29 +480,12 @@ def check_ito_isomorphism(family: list, p: float, q: float, *,
     ratio band max R / min R stays within the configured band, and when
     R(32 F) matches R(F) to a relative 1e-12 for the first member.
     """
-    from .integrator import build_exact_model, integrate_exact, process_norm, sample_paths
-    from .prob import BudgetExceededError
-
     members = []
     r_lo, r_hi = [], []
     for idx, F in enumerate(family):
         scale = pow2_scale(F.max_abs()) if F.is_deterministic else 1.0
-        Fn = F.scaled(1.0 / scale)
-        t = float(Fn.grid.time_points[-1])
-        model = None
-        try:
-            model = build_exact_model(Fn, eps, exact_budget)
-            moment = exact_moment(integrate_exact(model, t, B), p, q)
-            ci = 0.0
-            mc = False
-        except BudgetExceededError:
-            norms = sample_paths(Fn, t, B, q, n_samples, seed, stream=idx)
-            moment, ci = moment_ci(norms[:, -1], p)
-            ci *= 3.0
-            mc = True
-            model = None
-        value = process_norm(Fn, t, B, p, q, "I_regime", tol, model=model,
-                             eps=eps, restarts=restarts, max_iter=max_iter, seed=seed)
+        moment, ci, mc, value = _ito_member(F.scaled(1.0 / scale), p, q, tol, n_samples,
+                                            seed, idx)
         R = moment / value if value > 0 else math.inf
         members.append({"moment": moment, "norm": value, "R": R,
                         "ci_half": ci, "monte_carlo": mc})
@@ -485,12 +499,7 @@ def check_ito_isomorphism(family: list, p: float, q: float, *,
     F0 = family[0]
     inv_gap = 0.0
     if F0.is_deterministic and not members[0]["monte_carlo"] and members[0]["norm"] > 0:
-        F32 = F0.scaled(32.0)
-        tx = float(F32.grid.time_points[-1])
-        m = build_exact_model(F32, eps, exact_budget)
-        mom = exact_moment(integrate_exact(m, tx, B), p, q)
-        val = process_norm(F32, tx, B, p, q, "I_regime", tol, model=m,
-                           eps=eps, restarts=restarts, max_iter=max_iter, seed=seed)
+        mom, _, _, val = _ito_member(F0.scaled(32.0), p, q, tol, n_samples, seed, 0)
         r1, r2 = members[0]["R"], mom / val
         inv_gap = abs(r1 - r2) / max(abs(r1), 1e-300)
     ok = ratio_band <= band and inv_gap <= 1e-12
@@ -503,19 +512,15 @@ def check_ito_isomorphism(family: list, p: float, q: float, *,
                                 "scale_invariance_gap": inv_gap})
 
 
-def check_doob(F, p: float, q: float, *, t: float | None = None, B=None,
-               n_samples: int = 4000, seed: int = 0) -> CheckReport:
-    """Running-max moment dominated by p' times the terminal moment.
+def check_doob(F, p: float, q: float, *, n_samples: int = 4000, seed: int = 0) -> CheckReport:
+    """Running-max moment up to the final time dominated by p' times the
+    terminal moment.
 
     Statistical: both sides are estimated from the same paths and the
     threshold is widened by 3 CI half-widths.
     """
-    from .integrator import running_max_moment
-    from .lq import conjugate_exponent
-
-    if t is None:
-        t = float(F.grid.time_points[-1])
-    res = running_max_moment(F, t, B, p, q, n_samples, seed)
+    res = integrator.running_max_moment(F, float(F.grid.time_points[-1]), None, p, q,
+                                        n_samples, seed)
     p_prime = conjugate_exponent(p)
     lhs = res["estimate"]
     rhs = p_prime * res["terminal"]

@@ -16,6 +16,7 @@ import time
 
 import numpy as np
 
+from . import randmat as RM
 from .config import SCALAR_ELEMENT, ConfigError, ExperimentConfig, load_config, parse_config
 from .prob import BudgetExceededError
 from .report import FAIL, CheckReport
@@ -36,7 +37,13 @@ def _run_job(run, job: dict, idx: int, cfg: ExperimentConfig) -> list[CheckRepor
 
 
 def run_jobs(cfg: ExperimentConfig) -> list[CheckReport]:
-    reports = [r for i, (run, job) in enumerate(cfg.jobs) for r in _run_job(run, job, i, cfg)]
+    """Every job's reports, failures first; the operator-norm law memo is
+    emptied on return, so that no law outlives the run that built it."""
+    try:
+        reports = [r for i, (run, job) in enumerate(cfg.jobs)
+                   for r in _run_job(run, job, i, cfg)]
+    finally:
+        RM._last_law.clear()
     order = {FAIL: 0}
     reports.sort(key=lambda r: (order.get(r.status, 1), r.check_id,
                                 r.p if r.p is not None else -1.0,
@@ -102,19 +109,18 @@ def emit(reports: list[CheckReport], path: str, fmt: str = "csv",
 # -- default batteries -----------------------------------------------------------
 
 
-def _default_process_table(lam: float = 0.5, value: float = 1.0) -> dict:
+def _default_process_table(lam: float = 0.5) -> dict:
     return {"grid": {"time_points": [0.0, 1.0], "marks": [{"label": "A", "measure": lam}]},
-            "cells": [{"i": 0, "j": 0, "value": [value]}],
+            "cells": [{"i": 0, "j": 0, "value": [1.0]}],
             "element": {"kind": "commutative", "weights": [1.0]}}
 
 
-def _two_cell_table(lams=(0.4, 0.8), values=(1.0, -2.0)) -> dict:
-    nu = max(lams)
-    pts = [0.0, lams[0] / nu, lams[0] / nu + lams[1] / nu]
-    return {"grid": {"time_points": pts, "marks": [{"label": "A", "measure": nu}]},
-            "cells": [{"i": 0, "j": 0, "value": [values[0]]},
-                      {"i": 1, "j": 0, "value": [values[1]]}],
-            "element": {"kind": "commutative", "weights": [1.0]}}
+# cell intensities 0.4 and 0.8 on one mark of measure 0.8, values 1 and -2
+_TWO_CELL_TABLE = {"grid": {"time_points": [0.0, 0.5, 1.5],
+                            "marks": [{"label": "A", "measure": 0.8}]},
+                   "cells": [{"i": 0, "j": 0, "value": [1.0]},
+                             {"i": 1, "j": 0, "value": [-2.0]}],
+                   "element": {"kind": "commutative", "weights": [1.0]}}
 
 
 DEFAULT_BATTERIES = {
@@ -142,12 +148,12 @@ DEFAULT_BATTERIES = {
     "integral": [
         {"check": "decoupling", "p": [2.0, 3.0], "q": 2.0,
          "process": _default_process_table()},
-        {"check": "decoupling", "p": 2.0, "q": 3.0, "process": _two_cell_table()},
-        {"check": "doob", "p": 3.0, "q": 2.0, "process": _two_cell_table(),
+        {"check": "decoupling", "p": 2.0, "q": 3.0, "process": _TWO_CELL_TABLE},
+        {"check": "doob", "p": 3.0, "q": 2.0, "process": _TWO_CELL_TABLE,
          "n_samples": 4000},
         {"check": "ito_isomorphism", "p": [3.0, 1.5], "q": [2.5],
          "family": [_default_process_table(0.05), _default_process_table(0.5),
-                    _two_cell_table()]},
+                    _TWO_CELL_TABLE]},
     ],
     "matrix": [
         {"check": "matrix_sum", "p": [2.0, 4.0], "d1": 2, "d2": 2, "n": 4,

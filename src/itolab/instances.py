@@ -18,22 +18,20 @@ def element_space_of(spec: dict) -> FiniteMeasureSpace | None:
     return None
 
 
-def random_element(gen: np.random.Generator, spec: dict, real: bool = False) -> LqElement:
-    """Element with standard-normal entries (complex unless ``real``)."""
+def random_element(gen: np.random.Generator, spec: dict) -> LqElement:
+    """Element with complex standard-normal entries."""
     space = element_space_of(spec)
     if space is not None:
         shape = (space.n_atoms,)
     else:
         shape = tuple(spec.get("dims", [2, 2]))
-    vals = gen.standard_normal(shape)
-    if not real:
-        vals = vals + 1j * gen.standard_normal(shape)
-    return LqElement(vals.astype(complex), space)
+    vals = gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
+    return LqElement(vals, space)
 
 
 def random_mean_zero_variable(gen: np.random.Generator, spec: dict,
-                              n_atoms: int = 2, real: bool = False) -> RandomLqVariable:
-    """Independent finite-atom variable with exact mean zero.
+                              n_atoms: int = 2) -> RandomLqVariable:
+    """Independent finite-atom complex variable with exact mean zero.
 
     Draws n_atoms - 1 free values and solves the last one from the mean-zero
     constraint; probabilities are drawn away from 0.
@@ -44,18 +42,16 @@ def random_mean_zero_variable(gen: np.random.Generator, spec: dict,
     es = element_space_of(spec)
     shape = (es.n_atoms,) if es is not None else tuple(spec.get("dims", [2, 2]))
     vals = gen.standard_normal((n_atoms,) + shape)
-    if not real:
-        vals = vals + 1j * gen.standard_normal((n_atoms,) + shape)
-    vals = vals.astype(complex)
+    vals = vals + 1j * gen.standard_normal((n_atoms,) + shape)
     pcol = probs[:-1].reshape((-1,) + (1,) * len(shape))
     vals[-1] = -(pcol * vals[:-1]).sum(axis=0) / probs[-1]
     return RandomLqVariable(space, vals, es)
 
 
 def random_independent_sequence(gen: np.random.Generator, n_items: int, spec: dict,
-                                n_atoms: int = 2, real: bool = False) -> LqSequence:
+                                n_atoms: int = 2) -> LqSequence:
     """Independent mean-zero items lifted onto their product space."""
-    items = [random_mean_zero_variable(gen, spec, n_atoms, real) for _ in range(n_items)]
+    items = [random_mean_zero_variable(gen, spec, n_atoms) for _ in range(n_items)]
     _, lifted = independent_product(items)
     return LqSequence.from_variables(lifted)
 
@@ -74,22 +70,20 @@ def random_positive_sequence(gen: np.random.Generator, n_items: int,
     return LqSequence.from_variables(lifted)
 
 
-def bernoulli_sequence(lams: list[float], n_atoms_weight: float = 1.0) -> LqSequence:
+def bernoulli_sequence(lams: list[float]) -> LqSequence:
     """Independent Bernoulli(lam) scalar items."""
     items = []
     for lam in lams:
         space = FiniteProbabilitySpace((0, 1), np.array([1.0 - lam, lam]))
         vals = np.array([[0.0], [1.0]], dtype=complex)
-        items.append(RandomLqVariable(space, vals, point_space(n_atoms_weight)))
+        items.append(RandomLqVariable(space, vals, point_space()))
     _, lifted = independent_product(items)
     return LqSequence.from_variables(lifted)
 
 
-def single_cell_process(lam: float, x: np.ndarray, elem_space=None,
-                        length: float = 1.0) -> SimpleAdaptedProcess:
-    """One cell of intensity lam carrying the deterministic value x."""
-    grid = GridPartition(np.array([0.0, length]), ("A",),
-                         np.array([lam / length]))
+def single_cell_process(lam: float, x: np.ndarray, elem_space=None) -> SimpleAdaptedProcess:
+    """One unit-length cell of intensity lam carrying the deterministic value x."""
+    grid = GridPartition(np.array([0.0, 1.0]), ("A",), np.array([lam]))
     return deterministic_process(grid, {(0, 0): np.asarray(x, dtype=complex)}, elem_space)
 
 

@@ -246,13 +246,11 @@ def integrate_exact(model: ExactModel, t: float, B=None,
     return RandomLqVariable(model.space, total, model.process.elem_space)
 
 
-def decoupled_integrate(F: SimpleAdaptedProcess, t: float, B=None, *,
-                        eps: float = 1e-10, budget: int = DEFAULT_EXACT_BUDGET,
-                        model: ExactModel | None = None) -> RandomLqVariable:
-    """Exact decoupled integral: same formula, independent copy of the field."""
-    if model is None:
-        model = build_exact_model(F, eps, budget, decoupled=True)
-    return integrate_exact(model, t, B, use_copy=True)
+def decoupled_integrate(F: SimpleAdaptedProcess, t: float, *,
+                        eps: float = 1e-10) -> RandomLqVariable:
+    """Exact decoupled integral over (0, t] x all marks: same formula,
+    independent copy of the field."""
+    return integrate_exact(build_exact_model(F, eps, decoupled=True), t, use_copy=True)
 
 
 # -- sampled paths -------------------------------------------------------------
@@ -379,18 +377,19 @@ def _process_tables(F: SimpleAdaptedProcess, t: float, B,
 
 def process_norm(F: SimpleAdaptedProcess, t: float, B, p: float, q: float,
                  which: str, tol: float = 1e-6, *, model: ExactModel | None = None,
-                 eps: float = 1e-10, budget: int = DEFAULT_EXACT_BUDGET,
                  restarts: int = 8, max_iter: int = 5000, seed: int = 0):
     """One of the process norms, or the regime composite for ``I_regime``.
 
-    Cells are clipped to (0, t] x B.  For the composite, sums are optimized
-    decompositions of the coefficient table and the value is an upper bound.
+    Cells are clipped to (0, t] x B.  An adapted process without ``model``
+    is materialized at truncation eps 1e-10 and the default budget.  For the
+    composite, sums are optimized decompositions of the coefficient table
+    and the value is an upper bound.
     """
     if which not in PROCESS_NORMS:
         raise InvalidInputError(f"unknown process norm {which!r}")
     if not F.grid.is_refined:
         raise InvalidInputError("grid must be refined to cell intensities <= 1")
-    lam, probs, y = _process_tables(F, t, B, model, eps, budget)
+    lam, probs, y = _process_tables(F, t, B, model, 1e-10, DEFAULT_EXACT_BUDGET)
     weights = F.elem_space.weights if F.elem_space is not None else None
     mode = "commutative" if F.elem_space is not None else "noncommutative"
 

@@ -54,9 +54,9 @@ class FiniteMeasureSpace:
         return len(self.atom_ids)
 
 
-def point_space(weight: float = 1.0) -> FiniteMeasureSpace:
-    """One-atom measure space; its L^q elements are scalars for every q."""
-    return FiniteMeasureSpace(("*",), np.array([weight]))
+def point_space() -> FiniteMeasureSpace:
+    """One-atom measure space of weight 1; its L^q elements are scalars for every q."""
+    return FiniteMeasureSpace(("*",), np.array([1.0]))
 
 
 def uniform_space(n: int, total: float = 1.0) -> FiniteMeasureSpace:
@@ -236,28 +236,23 @@ class StepFunction:
         return float((self.values ** q * lengths).sum())
 
 
-def decreasing_rearrangement(x: LqElement, t_grid=None):
-    """Decreasing rearrangement mu_t(x).
+def decreasing_rearrangement(x: LqElement) -> StepFunction:
+    """Decreasing rearrangement mu_t(x) as an exact step function.
 
-    Returns the exact step function, or its values on ``t_grid`` when a grid
-    is given.  Matrix kind: the k-th singular value on [k-1, k).  Commutative
-    kind: |f| sorted decreasingly, each value carried on an interval of its
-    atom's weight.
+    Matrix kind: the k-th singular value on [k-1, k).  Commutative kind: |f|
+    sorted decreasingly, each value carried on an interval of its atom's
+    weight.
     """
     if x.kind == "matrix":
         sv = singular_values(x.values)
         bp = np.arange(len(sv) + 1, dtype=float)
-        step = StepFunction(bp, sv)
-    else:
-        mods = np.abs(x.values)
-        order = np.argsort(-mods, kind="stable")
-        vals = mods[order]
-        lengths = x.space.weights[order]
-        bp = np.concatenate([[0.0], np.cumsum(lengths)])
-        step = StepFunction(bp, vals)
-    if t_grid is None:
-        return step
-    return step(np.asarray(t_grid, dtype=float))
+        return StepFunction(bp, sv)
+    mods = np.abs(x.values)
+    order = np.argsort(-mods, kind="stable")
+    vals = mods[order]
+    lengths = x.space.weights[order]
+    bp = np.concatenate([[0.0], np.cumsum(lengths)])
+    return StepFunction(bp, vals)
 
 
 def modulus_square(x: LqElement, side: str = "column") -> LqElement:

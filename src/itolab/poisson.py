@@ -143,9 +143,9 @@ class PoissonFieldRealization:
         return PoissonFieldRealization(fine, counts, events)
 
 
-def realize(grid: GridPartition, seed: int, stream: int = 0) -> PoissonFieldRealization:
+def realize(grid: GridPartition, seed: int) -> PoissonFieldRealization:
     """Independent Poisson(lam_ij) counts per cell, with uniform event times."""
-    gen = philox(seed, stream)
+    gen = philox(seed)
     lam = grid.intensities
     counts = gen.poisson(lam)
     events = []

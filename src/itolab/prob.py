@@ -172,10 +172,10 @@ def deterministic_variable(space: FiniteProbabilitySpace, x: LqElement) -> Rando
     return RandomLqVariable(space, vals, x.space)
 
 
-def independent_product(variables: list[RandomLqVariable],
-                        budget: int = DEFAULT_ATOM_BUDGET) -> tuple[ProductSpace, list[RandomLqVariable]]:
+def independent_product(variables: list[RandomLqVariable]) -> tuple[ProductSpace,
+                                                                   list[RandomLqVariable]]:
     """Realize independence: lift each variable onto the product of all spaces."""
-    prod = product_space([v.space for v in variables], budget)
+    prod = product_space([v.space for v in variables])
     return prod, [v.lift(prod, k) for k, v in enumerate(variables)]
 
 
@@ -286,6 +286,13 @@ def centered_poisson_moment(p: float, lam: float, eps: float = 1e-12,
     return total
 
 
+def categorical(gen: np.random.Generator, probs: np.ndarray, shape) -> np.ndarray:
+    """Indices into ``probs`` of iid draws by inverse CDF, one uniform each."""
+    cum = np.cumsum(probs)
+    cum[-1] = 1.0
+    return np.minimum(np.searchsorted(cum, gen.random(shape), side="right"), len(probs) - 1)
+
+
 def sample(dist, seed: int, n: int, stream: int = 0) -> np.ndarray:
     """Reproducible draws of atom labels (FiniteProbabilitySpace) or counts
     (TruncatedPoisson).  Identical seed/stream/parameters give identical output."""
@@ -297,12 +304,7 @@ def sample(dist, seed: int, n: int, stream: int = 0) -> np.ndarray:
         space = dist
     else:
         raise InvalidInputError(f"cannot sample from {type(dist).__name__}")
-    gen = philox(seed, stream)
-    u = gen.random(n)
-    cum = np.cumsum(space.probs)
-    cum[-1] = 1.0
-    idx = np.searchsorted(cum, u, side="right")
-    idx = np.minimum(idx, space.n_atoms - 1)
+    idx = categorical(philox(seed, stream), space.probs, n)
     atoms = space.atoms
     if atoms and isinstance(atoms[0], (int, np.integer)):
         return np.asarray(atoms, dtype=int)[idx]

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lq import InvalidInputError
-from .checks import ConstantTable, DEFAULT_TABLE, c_pd
-from .prob import moment_ci, philox
+from .checks import ConstantTable, DEFAULT_TABLE, c_pd, relative_slack
+from .prob import categorical, moment_ci, philox
 from .report import (CONFIGURED, EXPLICIT, FAIL, MEASURED, PASS, REPORT_ONLY,
                      CheckReport)
 
@@ -69,16 +69,9 @@ class EntryLaw:
         # standard normal absolute moments: 2^(r/2) Gamma((r+1)/2) / sqrt(pi)
         return 2.0 ** (r / 2.0) * math.gamma((r + 1.0) / 2.0) / math.sqrt(math.pi)
 
-    def sample_indices(self, gen: np.random.Generator, shape) -> np.ndarray:
-        """Atom indices of iid draws from a discrete law."""
-        cum = np.cumsum(self.probs)
-        cum[-1] = 1.0
-        idx = np.searchsorted(cum, gen.random(shape), side="right")
-        return np.minimum(idx, len(self.atoms) - 1)
-
     def sample(self, gen: np.random.Generator, shape) -> np.ndarray:
         if self.is_discrete:
-            return self.atoms[self.sample_indices(gen, shape)]
+            return self.atoms[categorical(gen, self.probs, shape)]
         return gen.standard_normal(shape)
 
 
@@ -196,7 +189,7 @@ def _norm_law(ens: MatrixEnsemble, n_samples: int | None = None, seed: int = 0,
                            law.probs[config].prod(axis=1)))
     else:
         gen, shape = philox(seed, stream), (n_samples, *size)
-        idx = None if table is None else law.sample_indices(gen, shape)
+        idx = None if table is None else categorical(gen, law.probs, shape)
         vals = (law.sample(gen, shape) if idx is None else law.atoms[idx]) * ens.scale_matrix
         chunks = [(*_law_chunk(ens, vals, idx, table), None)]
     _last_law[key] = chunks
@@ -253,17 +246,17 @@ def bound_matrix_sum(ens: MatrixEnsemble, p: float, *, n_samples: int = 10_000,
     cpd = c_pd(p, ens.d)
     cpd_half = c_pd(p / 2.0, ens.d)
     rhs = 2.0 * (1.0 + math.sqrt(2.0)) * cpd * max(col, row, 2.0 * cpd_half * emax)
-    slack = tolerance * max(lhs, rhs, 1.0)
-    ok_upper = lhs - lhs_ci <= rhs + (2.0 * (1.0 + math.sqrt(2.0)) * cpd *
-                                      2.0 * cpd_half * emax_ci) + slack
     rev = 2.0 ** (1.0 + 1.0 / p)
-    ok_rev_max = emax - emax_ci <= rev * (lhs + lhs_ci) + slack
-    ok_rev_square = max(col, row) <= 2.0 * (lhs + lhs_ci) + slack
-    ok = ok_upper and ok_rev_max and ok_rev_square
     details = {"column": col, "row": row, "max_term": emax, "C_pd": cpd,
                "C_p2d": cpd_half, "monte_carlo": mc, "lhs_ci": lhs_ci,
                "max_ci": emax_ci, "reverse_constant": rev,
                "law": ens.law.name, "n": ens.n, "d1": ens.d1, "d2": ens.d2}
+    slack = relative_slack(tolerance, details, lhs, rhs, floor=1.0)
+    ok_upper = lhs - lhs_ci <= rhs + (2.0 * (1.0 + math.sqrt(2.0)) * cpd *
+                                      2.0 * cpd_half * emax_ci) + slack
+    ok_rev_max = emax - emax_ci <= rev * (lhs + lhs_ci) + slack
+    ok_rev_square = max(col, row) <= 2.0 * (lhs + lhs_ci) + slack
+    ok = ok_upper and ok_rev_max and ok_rev_square
     return CheckReport("matrix_sum", lhs, rhs, 2.0 * (1.0 + math.sqrt(2.0)) * cpd,
                        EXPLICIT, PASS if ok else FAIL, p=p, q=None,
                        tolerance=tolerance, seed=seed, details=details)
@@ -289,8 +282,7 @@ def _entry_max_moment(ens: MatrixEnsemble, p: float, n_samples: int, seed: int):
 
 
 def bound_entry_matrix(ens: MatrixEnsemble, p: float, *, n_samples: int = 10_000,
-                       seed: int = 0, tolerance: float = 1e-9,
-                       force_mc: bool = False) -> CheckReport:
+                       seed: int = 0, force_mc: bool = False) -> CheckReport:
     """Entrywise bound: row/column second-moment maxima plus the entry max."""
     if ens.structure != "entries":
         raise InvalidInputError("entry bound needs an entrywise ensemble")
@@ -303,12 +295,12 @@ def bound_entry_matrix(ens: MatrixEnsemble, p: float, *, n_samples: int = 10_000
     cpd_half = c_pd(p / 2.0, ens.d)
     constant = 2.0 * (1.0 + math.sqrt(2.0)) * cpd
     rhs = constant * max(col, row, 2.0 * cpd_half * emax)
-    slack = tolerance * max(lhs, rhs, 1.0)
-    ok = lhs - lhs_ci <= rhs + constant * 2.0 * cpd_half * 3.0 * emax_ci + slack
     details = {"column": col, "row": row, "entry_max": emax, "C_pd": cpd,
                "monte_carlo": mc, "lhs_ci": lhs_ci, "law": ens.law.name}
+    slack = relative_slack(1e-9, details, lhs, rhs, floor=1.0)
+    ok = lhs - lhs_ci <= rhs + constant * 2.0 * cpd_half * 3.0 * emax_ci + slack
     return CheckReport("matrix_entries", lhs, rhs, constant, EXPLICIT,
-                       PASS if ok else FAIL, p=p, q=None, tolerance=tolerance,
+                       PASS if ok else FAIL, p=p, q=None, tolerance=1e-9,
                        seed=seed, details=details)
 
 

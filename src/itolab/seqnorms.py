@@ -185,8 +185,8 @@ class Decomposition:
         scale = max(float(np.abs(self.target.values).max()), 1e-300)
         return float(np.abs(total - self.target.values).max()) / scale
 
-    def validate(self, tol: float = 1e-9):
-        if self.residual() > tol:
+    def validate(self):
+        if self.residual() > 1e-9:
             raise InvalidInputError("decomposition does not reconstruct the target")
 
 
@@ -311,9 +311,9 @@ def _coordinate_bounds(node: NormExpr, seq: LqSequence, p, q, ub: float) -> np.n
 
 
 def brute_force_sum_norm(seq: LqSequence, spec: RegimeSpec,
-                         grid_resolution: int = 13, levels: int = 10,
-                         dim_cap: int = 4) -> float:
-    """Grid oracle for the regime value, real low-dimensional instances only."""
+                         grid_resolution: int = 13, levels: int = 10) -> float:
+    """Grid oracle for the regime value, real instances of at most 4 free
+    dimensions only."""
     if float(np.abs(seq.values.imag).max()) > 0:
         raise InvalidInputError("brute-force oracle handles real-valued instances only")
 
@@ -328,9 +328,8 @@ def brute_force_sum_norm(seq: LqSequence, spec: RegimeSpec,
         k = len(node.children)
         flat_dim = seq.values.size
         free = (k - 1) * flat_dim
-        if free > dim_cap:
-            raise InvalidInputError(
-                f"total free dimension {free} exceeds the brute-force cap {dim_cap}")
+        if free > 4:
+            raise InvalidInputError(f"total free dimension {free} exceeds the brute-force cap 4")
         corner_vals = [float(_direct_node(c, seq.values[None, ...], seq, spec.p, spec.q)[0])
                        for c in node.children]
         ub = min(corner_vals)
@@ -397,10 +396,10 @@ def sequence_pairing(f: LqSequence, g: LqSequence) -> complex:
     return complex(np.einsum("a,iaxx->", probs, prod))
 
 
-def duality_gap(f: LqSequence, g: LqSequence, p: float, q: float, *,
-                tol: float = 1e-3, restarts: int = 2, max_iter: int = 300,
-                seed: int = 0) -> dict:
-    """Pairing vs the product of dual regime norms; ratio <= 1 + tol must hold."""
+def duality_gap(f: LqSequence, g: LqSequence, p: float, q: float, *, seed: int = 0) -> dict:
+    """Pairing vs the product of dual regime norms, each optimized with 2
+    restarts of at most 300 iterations at tol 1e-3; ratio <= 1 + 1e-3 must hold."""
+    tol, restarts, max_iter = 1e-3, 2, 300
     pairing = sequence_pairing(f, g)
     mode = "commutative" if f.kind == "commutative" else "noncommutative"
     spec = regime_select(p, q, mode)

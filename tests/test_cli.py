@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from itolab import randmat
 from itolab.cli import CSV_COLUMNS, DEFAULT_BATTERIES, emit, main, run_jobs
 from itolab.config import (CHECKS, KINDS, ConfigError, load_config, parse_config,
                            process_from_table)
@@ -244,12 +245,28 @@ def test_default_suite_csv_is_byte_identical_to_reference(tmp_path, workload):
 @pytest.mark.parametrize("workload, builds", [("suite", 3), ("enumerate", 3), ("sampled", 6)])
 def test_operator_norm_laws_built_per_pass(law_builds, workload, builds):
     # equal matrix ensembles of consecutive jobs share one law, and the first
-    # matrix job of a pass never has the last one's law
+    # matrix job of a pass never has the last one's law: no law outlives its run
     cfg = parse_config(WORKLOADS[workload](12345))
     for _ in range(2):
         law_builds.clear()
         run_jobs(cfg)
         assert len(law_builds) == builds
+        assert randmat._last_law == {}
+
+
+@pytest.mark.parametrize("job", [{"check": "kahane", "p": 400},
+                                 {"check": "khintchine", "p": 2000},
+                                 {"check": "rosenthal_scalar", "p": 1e308}],
+                         ids=["kahane", "khintchine", "rosenthal_scalar"])
+def test_no_pass_on_a_non_finite_side(job):
+    # an overflowed moment makes the relative slack inf, and inf <= x + inf
+    # would pass: the slack is NaN instead, and the row fails with a note
+    reports = run_jobs(parse_config({"version": 1, "checks": [job]}))
+    overflowed = [r for r in reports if not (math.isfinite(r.lhs) and math.isfinite(r.rhs))]
+    assert overflowed
+    for r in overflowed:
+        assert r.status == "fail"
+        assert "not finite" in r.details["note"]
 
 
 def test_emit_json_round_trip(tmp_path):
