@@ -19,11 +19,12 @@ from .lq import InvalidInputError, LqElement, batch_norm_q, conjugate_exponent
 from .prob import BudgetExceededError, exact_moment, moment_ci, sign_matrix
 from .report import (CONFIGURED, EXPLICIT, FAIL, MEASURED, PASS, REPORT_ONLY,
                      CheckReport)
-from .seqnorms import (LqSequence, NormExpr, RegimeSpec, composite_norm,
-                       norm_D, norm_S, regime_select)
+from .seqnorms import (LqSequence, composite_norm, norm_D, norm_S, regime_select,
+                       square_sum_norm)
 from .sumopt import pow2_scale
 
 REL_SLACK = 1e-12
+NOT_FINITE = "a side is not finite: no verdict"
 # optimizer budget of check_rosenthal_lq and check_ito_isomorphism
 CHECK_RESTARTS, CHECK_MAX_ITER = 4, 1500
 
@@ -86,8 +87,10 @@ def c_pd(p: float, d: int) -> float:
 
 
 def hj_shape(p: float) -> float:
-    """p / log(2p), the moment growth shape of the maximal-term bound."""
-    return p / math.log(2.0 * p)
+    """p / log(2p), the moment growth shape of the maximal-term bound; the
+    logarithm is log 2 + log p where 2p overflows."""
+    two_p = 2.0 * p
+    return p / (math.log(two_p) if math.isfinite(two_p) else math.log(2.0) + math.log(p))
 
 
 @dataclass
@@ -112,26 +115,14 @@ DEFAULT_TABLE = ConstantTable()
 
 def rademacher_sum_moment(xs: list[LqElement], p: float, q: float) -> float:
     """Exact (E || sum_i r_i x_i ||_q^p)^(1/p) over all sign patterns."""
-    n = len(xs)
-    if n > 24:
-        raise InvalidInputError("sign enumeration capped at n = 24")
-    signs = sign_matrix(n)
-    vals = np.stack([x.values for x in xs])
-    sums = np.tensordot(signs, vals, axes=(1, 0))
-    weights = xs[0].space.weights if xs[0].kind == "commutative" else None
-    norms = batch_norm_q(sums, q, weights)
-    return float((norms ** p).mean() ** (1.0 / p))
-
-
-def square_function_sides(xs: list[LqElement], q: float) -> tuple[float, float]:
-    """(column, row) square-function norms of deterministic elements."""
-    seq = LqSequence.deterministic(xs)
-    return norm_S(seq, q, "column"), norm_S(seq, q, "row")
+    return randomized_sum_moment(LqSequence.deterministic(xs), p, q)
 
 
 def randomized_sum_moment(seq: LqSequence, p: float, q: float) -> float:
     """(E_r E || sum_i r_i f_i ||_q^p)^(1/p), exact in both layers."""
     n = seq.n_items
+    if n > 24:
+        raise InvalidInputError("sign enumeration capped at n = 24")
     signs = sign_matrix(n)
     sums = np.tensordot(signs, seq.values, axes=(1, 0))  # (2^n, atoms, *elem)
     weights = seq.elem_space.weights if seq.elem_space is not None else None
@@ -161,7 +152,7 @@ def relative_slack(tolerance: float, details: dict, *sides: float,
     ``details``, when a side is not finite, so that no comparison with it holds."""
     if all(map(math.isfinite, sides)):
         return tolerance * max(*sides, floor)
-    details["note"] = "a side is not finite: no verdict"
+    details["note"] = NOT_FINITE
     return math.nan
 
 
@@ -186,7 +177,8 @@ def check_khintchine(xs: list[LqElement], p: float, q: float, *,
     """
     lhs_p = rademacher_sum_moment(xs, p, q)
     lhs_2 = rademacher_sum_moment(xs, 2.0, q)
-    col, row = square_function_sides(xs, q)
+    seq = LqSequence.deterministic(xs)
+    col, row = norm_S(seq, q, "column"), norm_S(seq, q, "row")
     sq_max = max(col, row)
     details = {"moment_p": lhs_p, "moment_2": lhs_2, "column": col, "row": row}
     if q >= 2:
@@ -198,13 +190,7 @@ def check_khintchine(xs: list[LqElement], p: float, q: float, *,
         status = PASS if (ok_lower and ok_upper) else FAIL
         return CheckReport("khintchine", lhs_p, sq_max, K, EXPLICIT, status,
                            p=p, q=q, tolerance=tolerance, seed=seed, details=details)
-    if xs[0].kind == "commutative":
-        inf_value = col
-    else:
-        seq = LqSequence.deterministic(xs)
-        tree = NormExpr("sum", None, (NormExpr("atom", "S_c"), NormExpr("atom", "S_r")))
-        spec = RegimeSpec(0, 2.0, q, "noncommutative", tree)
-        inf_value = composite_norm(seq, spec, 1e-5, seed=seed or 0).value
+    inf_value = square_sum_norm(seq, q, 1e-5, seed=seed or 0)
     details["decomposition_infimum_upper"] = inf_value
     lhs_q = rademacher_sum_moment(xs, q, q)
     details["reverse_ratio"] = inf_value / lhs_q if lhs_q > 0 else 0.0
@@ -297,15 +283,20 @@ def check_hoffmann_jorgensen(seq: LqSequence, p: float, q: float, *,
     lhs = exact_moment(seq.sum_variable(), p, q)
     first = exact_moment(seq.sum_variable(), 1.0, q)
     max_term = max_item_moment(seq, p, q)
-    denom = hj_shape(p) * (first + max_term)
+    shape = hj_shape(p)
+    denom = shape * (first + max_term)
     if lhs == 0 and denom == 0:
         return CheckReport("hoffmann_jorgensen", 0.0, 0.0, math.nan, MEASURED, PASS,
                            p=p, q=q, seed=seed, details={"note": "degenerate 0/0"})
-    ratio = lhs / denom if denom > 0 else math.inf
-    details = {"ratio": ratio, "first_moment": first, "max_term": max_term,
-               "shape": hj_shape(p)}
+    details = {"first_moment": first, "max_term": max_term, "shape": shape}
+    # an overflowed side has no ratio, and no verdict even when configured
+    finite = math.isfinite(lhs) and math.isfinite(denom)
+    if finite:
+        details["ratio"] = lhs / denom if denom > 0 else math.inf
+    else:
+        details["note"] = NOT_FINITE
     if table.hj_factor is not None:
-        ok = lhs <= table.hj_factor * denom
+        ok = finite and lhs <= table.hj_factor * denom
         return CheckReport("hoffmann_jorgensen", lhs, denom, table.hj_factor,
                            CONFIGURED, PASS if ok else FAIL, p=p, q=q, seed=seed,
                            details=details)
@@ -375,13 +366,8 @@ def check_rosenthal_lq(seq: LqSequence, p: float, q: float, *, seed: int = 0) ->
         hard.append(max(s_col, s_row) <= 2.0 * moment + slack)
     elif p <= 2 and q <= 2:
         hard.append(moment <= 2.0 * min(s_col, s_row) + slack)
-        if mode == "commutative":
-            inf_up = s_col
-        else:
-            tree = NormExpr("sum", None, (NormExpr("atom", "S_c"), NormExpr("atom", "S_r")))
-            inf_up = composite_norm(seq, RegimeSpec(0, p, q, mode, tree), tol,
-                                    restarts=CHECK_RESTARTS, max_iter=CHECK_MAX_ITER,
-                                    seed=seed).value
+        inf_up = square_sum_norm(seq, q, tol, restarts=CHECK_RESTARTS,
+                                 max_iter=CHECK_MAX_ITER, seed=seed)
         hard.append(moment <= 4.0 * inf_up + slack)
         details["square_decomposition_upper"] = inf_up
     if hard:

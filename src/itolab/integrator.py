@@ -358,9 +358,10 @@ def condition_as_step(coefficients: dict, grid: GridPartition,
 PROCESS_NORMS = ("S", "S_c", "S_r", "D_qq", "D_pq", "I_regime")
 
 
-def _process_tables(F: SimpleAdaptedProcess, t: float, B,
-                    model: ExactModel | None, eps: float, budget: int):
-    """(lam vector, probs, y table (cells, atoms, *elem)) for the window."""
+def _process_tables(F: SimpleAdaptedProcess, t: float, B, model: ExactModel | None):
+    """(lam vector, probs, y table (cells, atoms, *elem)) for the window; an
+    adapted process without ``model`` is materialized at the defaults of
+    ``build_exact_model``."""
     grid = F.grid
     window = [cell for interval in _window_cells(grid, t, B) for cell in interval]
     lam = np.array([lam for _, lam in window])
@@ -370,7 +371,7 @@ def _process_tables(F: SimpleAdaptedProcess, t: float, B,
         y = _coefficient_table(F, cells, np.zeros((len(cells), 1), dtype=int))
     else:
         if model is None:
-            model = build_exact_model(F, eps, budget)
+            model = build_exact_model(F)
         probs, y = model.space.probs, model.y
     return lam, probs, y[[k for k, _ in window]]
 
@@ -389,7 +390,7 @@ def process_norm(F: SimpleAdaptedProcess, t: float, B, p: float, q: float,
         raise InvalidInputError(f"unknown process norm {which!r}")
     if not F.grid.is_refined:
         raise InvalidInputError("grid must be refined to cell intensities <= 1")
-    lam, probs, y = _process_tables(F, t, B, model, 1e-10, DEFAULT_EXACT_BUDGET)
+    lam, probs, y = _process_tables(F, t, B, model)
     weights = F.elem_space.weights if F.elem_space is not None else None
     mode = "commutative" if F.elem_space is not None else "noncommutative"
 

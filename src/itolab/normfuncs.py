@@ -1,12 +1,13 @@
 """Convex norm functionals on tables of L^q elements, with subgradients.
 
 A table stacks elements along leading axes: sequence norms see
-(items, atoms, *elem), process norms see (cells, atoms, *elem).  ``value``
-takes one table; ``value_grad`` takes a batch of tables with a leading batch
-axis, (B, *table), so the optimizer advances all of its restarts in one call
-per iteration.  Gradients use the convention df = Re <g, dU> on the complex
-entries, which is the plain steepest-descent gradient in the underlying real
-coordinates; a row whose value is 0 gets a zero gradient.
+(items, atoms, *elem), process norms see (cells, atoms, *elem).  Each
+functional defines only ``value_grad``, which takes a batch of tables with a
+leading batch axis, (B, *table), so the optimizer advances all of its
+restarts in one call per iteration; ``value`` of one table is the same call
+on a batch of one.  Gradients use the convention df = Re <g, dU> on the
+complex entries, which is the plain steepest-descent gradient in the
+underlying real coordinates; a row whose value is 0 gets a zero gradient.
 
 Two families.  A sequence is the process whose cells are its items, each
 with lam = 1.
@@ -14,7 +15,7 @@ with lam = 1.
   S (kernel ``_square_function``):
     SeqS      ||(f_i)||_S     = || (sum_i E |f_i|^2)^(1/2) ||_q
     ProcS     ||F||           = ( E || (sum_c lam_c |y_c|^2)^(1/2) ||_q^p )^(1/p)
-  D (kernels ``batch_norm_q`` and ``_elem_norm_grads``):
+  D (kernel ``_elem_norm_grads``: weighted modulus or singular values):
     SeqD      ||(f_i)||_D     = ( sum_i E ||f_i||_q^p )^(1/p)      (ProcDpq, lam = 1)
     ProcDqq   ||F||           = ( E ( sum_c lam_c ||y_c||_q^q )^(p/q) )^(1/p)
     ProcDpq   ||F||           = ( sum_c lam_c E ||y_c||_q^p )^(1/p)
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .lq import InvalidInputError, batch_norm_q
+from .lq import InvalidInputError
 from .sumopt import NormFunctional, per_row
 
 _EIG_FLOOR = 1e-30
@@ -106,14 +107,9 @@ class SeqS(NormFunctional):
     def __init__(self, q: float, side: str, probs: np.ndarray, weights=None):
         self.q, self.side, self.probs, self.weights = q, side, np.asarray(probs), weights
 
-    def _power_sum(self, U):
-        return _square_function(U, "a,...ia->...", self.probs, self.q, self.side, self.weights)
-
-    def value(self, U):
-        return float(self._power_sum(U)[0] ** (1.0 / self.q))
-
     def value_grad(self, U):
-        pw, core = self._power_sum(U)
+        pw, core = _square_function(U, "a,...ia->...", self.probs, self.q, self.side,
+                                    self.weights)
         val = np.float_power(pw, 1.0 / self.q)
         coef = _outer(val, self.q, U.ndim) * per_row(self.probs, U.ndim - 2)
         return val, _nonzero_rows(val, _apply_core(coef, core, U, self.side, self.weights))
@@ -127,18 +123,10 @@ class ProcS(NormFunctional):
         self.p, self.q, self.side = p, q, side
         self.lam, self.probs, self.weights = np.asarray(lam), np.asarray(probs), weights
 
-    def _per_atom(self, U):
-        pw, core = _square_function(U, "c,...ca->...a", self.lam, self.q, self.side,
-                                    self.weights)
-        return pw ** (1.0 / self.q), core
-
-    def value(self, U):
-        b, _ = self._per_atom(U)
-        return float((self.probs * b ** self.p).sum() ** (1.0 / self.p))
-
     def value_grad(self, U):
         p, q = self.p, self.q
-        b, core = self._per_atom(U)
+        pw, core = _square_function(U, "c,...ca->...a", self.lam, q, self.side, self.weights)
+        b = pw ** (1.0 / q)
         val = np.float_power((self.probs * b ** p).sum(axis=-1), 1.0 / p)
         safe_b = np.where(b > 0, b, 1.0)
         outer = _outer(val, p, 2) * self.probs * b ** (p - 1.0)   # dval/db per atom
@@ -153,11 +141,6 @@ class ProcDqq(NormFunctional):
     def __init__(self, p: float, q: float, lam: np.ndarray, probs: np.ndarray, weights=None):
         self.p, self.q = p, q
         self.lam, self.probs, self.weights = np.asarray(lam), np.asarray(probs), weights
-
-    def value(self, U):
-        a = batch_norm_q(U, self.q, self.weights)
-        inner = (self.lam[:, None] * a ** self.q).sum(axis=0)
-        return float((self.probs * inner ** (self.p / self.q)).sum() ** (1.0 / self.p))
 
     def value_grad(self, U):
         p, q = self.p, self.q
@@ -177,10 +160,6 @@ class ProcDpq(NormFunctional):
     def __init__(self, p: float, q: float, lam: np.ndarray, probs: np.ndarray, weights=None):
         self.p, self.q = p, q
         self.lam, self.probs, self.weights = np.asarray(lam), np.asarray(probs), weights
-
-    def value(self, U):
-        a = batch_norm_q(U, self.q, self.weights)
-        return float((self.lam[:, None] * self.probs[None, :] * a ** self.p).sum() ** (1.0 / self.p))
 
     def value_grad(self, U):
         p = self.p

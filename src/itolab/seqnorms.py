@@ -259,6 +259,18 @@ def composite_norm(seq: LqSequence, spec: RegimeSpec, tol: float = 1e-6, *,
     return CompositeResult(value, cert, node_values)
 
 
+def square_sum_norm(seq: LqSequence, q: float, tol: float, *, restarts: int = 8,
+                    max_iter: int = 5000, seed: int = 0) -> float:
+    """The S_c + S_r decomposition infimum (its optimizer upper bound for
+    matrices, see ``composite_norm``); commutative sequences have S_c = S_r,
+    and the infimum is S_c itself.  p does not enter the sequence S atoms."""
+    if seq.kind == "commutative":
+        return norm_S(seq, q, "column")
+    spec = RegimeSpec(0, 2.0, q, "noncommutative", _sum(_atom("S_c"), _atom("S_r")))
+    return composite_norm(seq, spec, tol, restarts=restarts, max_iter=max_iter,
+                          seed=seed).value
+
+
 # -- brute-force oracle --------------------------------------------------------
 #
 # Direct re-implementations of the norms (no shared gradient machinery), plus

@@ -38,7 +38,9 @@ class NormFunctional:
     """Interface: a convex positively homogeneous functional of a complex table."""
 
     def value(self, table: np.ndarray) -> float:
-        raise NotImplementedError
+        """The value of one table: ``value_grad`` on a batch of one, so every
+        value and its gradient come from one route."""
+        return float(self.value_grad(table[None])[0][0])
 
     def value_grad(self, tables: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """For a batch (B, *table) returns values (B,) and gradients (B, *table)
@@ -57,9 +59,6 @@ class MaxFunctional(NormFunctional):
 
     def __init__(self, parts: list[NormFunctional]):
         self.parts = parts
-
-    def value(self, table):
-        return max(p.value(table) for p in self.parts)
 
     def value_grad(self, tables):
         # first maximum per row: a later part wins only if strictly larger,

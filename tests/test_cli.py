@@ -269,6 +269,21 @@ def test_no_pass_on_a_non_finite_side(job):
         assert "not finite" in r.details["note"]
 
 
+def test_hoffmann_jorgensen_overflow_has_no_nan():
+    # 2p overflows at p = 1e308: the shape still comes out finite, and the
+    # overflowed moments give a noted row without a ratio instead of NaN
+    reports = run_jobs(parse_config({"version": 1, "checks": [
+        {"check": "hoffmann_jorgensen", "p": 1e308, "instances": 1}]}))
+    assert reports
+    for r in reports:
+        assert not (math.isnan(r.lhs) or math.isnan(r.rhs))
+        assert not math.isnan(r.details.get("ratio", 0.0))
+        assert 0.0 < r.details["shape"] < math.inf
+        assert r.status == "report-only"
+        if not (math.isfinite(r.lhs) and math.isfinite(r.rhs)):
+            assert "not finite" in r.details["note"]
+
+
 def test_emit_json_round_trip(tmp_path):
     rep = CheckReport("demo", lhs=math.pi, rhs=1 / 3, constant=2.0,
                       provenance="explicit", status="pass", p=2.0, q=3.0,

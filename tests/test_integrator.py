@@ -494,7 +494,7 @@ def test_process_tables_match_reference_bits(name):
     tp = F.grid.time_points
     for B in _mark_sets(F):
         for t in _breaks(F) + [float(0.5 * (tp[0] + tp[1]))]:
-            got = _process_tables(F, t, B, model, 1e-4, 10_000)
+            got = _process_tables(F, t, B, model)
             if B == set() and model is not None:
                 # the reference stacked an empty list and raised ValueError
                 assert got[2].shape == (0,) + model.y.shape[1:]
