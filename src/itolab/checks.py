@@ -17,14 +17,13 @@ import numpy as np
 from . import integrator
 from .lq import InvalidInputError, LqElement, batch_norm_q, conjugate_exponent
 from .prob import BudgetExceededError, exact_moment, moment_ci, sign_matrix
-from .report import (CONFIGURED, EXPLICIT, FAIL, MEASURED, PASS, REPORT_ONLY,
-                     CheckReport)
+from .report import (CONFIGURED, EXPLICIT, FAIL, MEASURED, NOT_FINITE, PASS,
+                     REPORT_ONLY, CheckReport)
 from .seqnorms import (LqSequence, composite_norm, norm_D, norm_S, regime_select,
                        square_sum_norm)
 from .sumopt import pow2_scale
 
 REL_SLACK = 1e-12
-NOT_FINITE = "a side is not finite: no verdict"
 # optimizer budget of check_rosenthal_lq and check_ito_isomorphism
 CHECK_RESTARTS, CHECK_MAX_ITER = 4, 1500
 

@@ -197,8 +197,17 @@ KINDS = {
     "element": _element, "law": _law, "lambda_grid": _lambda_grid,
     "a": lambda v, key, *_: _rows(v, key, partial(_number, what=key)),
     "process": lambda v, key, _, base_dir: process_from_table(v, base_dir),
-    "family": lambda v, key, _, base_dir: [process_from_table(t, base_dir) for t in _list(v, key)],
+    "family": lambda v, key, _, base_dir: [_refined(process_from_table(t, base_dir), key)
+                                           for t in _list(v, key)],
 }
+
+
+def _refined(F: SimpleAdaptedProcess, key: str) -> SimpleAdaptedProcess:
+    """F, when every cell intensity of its grid is at most 1 (the process norms' range)."""
+    if not F.grid.is_refined:
+        raise ConfigError(f"{key}: every cell intensity (interval length times mark "
+                          f"measure) must be at most 1, got {F.grid.intensities.max():g}")
+    return F
 
 
 def _complex(v) -> complex:

@@ -12,11 +12,11 @@ piecewise constant in t between breakpoints.
 
 Every integral goes through two helpers.  ``_coefficient_table`` evaluates
 the coefficients against cell counts with one column per outcome (the atoms
-of the product space, sampled paths, or one field), calling each adapted
-coefficient once per distinct pattern of earlier-cell counts.
-``_window_sums`` runs the sum over (0, t] x B with lam_ij = clip * nu_j and
-yields it at the end of each time interval.  Exact and sampled integrals
-take t at a breakpoint and snap it to the breakpoint it matches.
+of the product space, or sampled paths), calling each adapted coefficient
+once per distinct pattern of earlier-cell counts.  ``_window_sums`` runs the
+sum over (0, t] x B with lam_ij = clip * nu_j and yields it at the end of
+each time interval.  Both routes take t at a breakpoint and snap it to the
+breakpoint it matches; the process norms clip the last cell at any t.
 
 Exact mode represents the sample space as the product of truncated-Poisson
 cell spaces, which makes moments, martingale properties, and the decoupling
@@ -43,7 +43,7 @@ import numpy as np
 
 from .lq import FiniteMeasureSpace, InvalidInputError, LqElement, batch_norm_q
 from .normfuncs import norm_atom
-from .poisson import GridPartition, PoissonFieldRealization
+from .poisson import GridPartition
 from .prob import (ProductSpace, RandomLqVariable, moment_ci, philox, product_space,
                    truncated_poisson)
 from .seqnorms import evaluate_tree, regime_select
@@ -166,30 +166,6 @@ def _breakpoint(grid: GridPartition, t: float) -> float:
     raise InvalidInputError("exact and sampled integrals take t at a grid breakpoint")
 
 
-def integrate(F: SimpleAdaptedProcess, field: PoissonFieldRealization,
-              t: float, B=None) -> LqElement:
-    """Pathwise integral over (0, t] x B for one field realization.
-
-    Interior t clips the current cell using the stored event times; the
-    compensator is clipped proportionally.
-    """
-    if t <= 0:
-        raise InvalidInputError("t must be positive")
-    if field.grid is not F.grid and field.grid != F.grid:
-        raise InvalidInputError("field and process use different grids")
-    grid = F.grid
-    windows = _window_cells(grid, t, B)
-    i = len(windows) - 1
-    cells = grid.cells()[:(i + 1) * grid.n_marks]
-    counts = np.array(field.counts, dtype=int).reshape(-1, 1)[:len(cells)]
-    if t < grid.time_points[i + 1]:
-        for j in range(grid.n_marks):
-            counts[i * grid.n_marks + j] = field.count_before(i, j, t)
-    for total in _window_sums(windows, _coefficient_table(F, cells, counts), counts):
-        pass
-    return LqElement(total[0], F.elem_space)
-
-
 # -- exact mode ----------------------------------------------------------------
 
 
@@ -246,13 +222,6 @@ def integrate_exact(model: ExactModel, t: float, B=None,
     return RandomLqVariable(model.space, total, model.process.elem_space)
 
 
-def decoupled_integrate(F: SimpleAdaptedProcess, t: float, *,
-                        eps: float = 1e-10) -> RandomLqVariable:
-    """Exact decoupled integral over (0, t] x all marks: same formula,
-    independent copy of the field."""
-    return integrate_exact(build_exact_model(F, eps, decoupled=True), t, use_copy=True)
-
-
 # -- sampled paths -------------------------------------------------------------
 
 
@@ -293,65 +262,6 @@ def running_max_moment(F: SimpleAdaptedProcess, t: float, B, p: float, q: float,
             "n_samples": n_samples}
 
 
-# -- grid conditional expectation ----------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class StepProcess:
-    """Deterministic step function on a fine time partition x marks."""
-
-    time_points: np.ndarray
-    values: np.ndarray            # (n_fine_intervals, n_marks, *elem)
-    elem_space: FiniteMeasureSpace | None = None
-
-    def __post_init__(self):
-        t = np.asarray(self.time_points, dtype=float)
-        v = np.asarray(self.values, dtype=complex)
-        object.__setattr__(self, "time_points", t)
-        object.__setattr__(self, "values", v)
-        if np.any(np.diff(t) <= 0):
-            raise InvalidInputError("time points must strictly increase")
-        if v.shape[0] != len(t) - 1:
-            raise InvalidInputError("one value row per fine interval required")
-
-
-def grid_condition(G: StepProcess, grid: GridPartition) -> dict:
-    """Cellwise averages y_ij = (cell measure)^-1 * integral of G over the cell.
-
-    Fine intervals may straddle cell boundaries; overlaps weight the average.
-    Mass outside the grid's time span is dropped (zero contribution), and a
-    zero-measure overlap yields the zero coefficient.
-    """
-    n_marks = grid.n_marks
-    if G.values.shape[1] != n_marks:
-        raise InvalidInputError("step process marks must match the grid")
-    elem_shape = G.values.shape[2:]
-    out = {}
-    for i in range(grid.n_intervals):
-        a, b = grid.time_points[i], grid.time_points[i + 1]
-        acc = np.zeros((n_marks,) + elem_shape, dtype=complex)
-        for k in range(G.values.shape[0]):
-            fa, fb = G.time_points[k], G.time_points[k + 1]
-            overlap = max(0.0, min(b, fb) - max(a, fa))
-            if overlap > 0:
-                acc += overlap * G.values[k]
-        length = b - a
-        for j in range(n_marks):
-            y = acc[j] / length if length > 0 else np.zeros(elem_shape, dtype=complex)
-            if np.any(y != 0):
-                out[(i, j)] = LqElement(y, G.elem_space)
-    return out
-
-
-def condition_as_step(coefficients: dict, grid: GridPartition,
-                      elem_shape, elem_space=None) -> StepProcess:
-    """Render cell coefficients back as a step process on the grid."""
-    vals = np.zeros((grid.n_intervals, grid.n_marks) + tuple(elem_shape), dtype=complex)
-    for (i, j), x in coefficients.items():
-        vals[i, j] = x.values
-    return StepProcess(grid.time_points, vals, elem_space)
-
-
 # -- process norms -------------------------------------------------------------
 
 
@@ -389,7 +299,7 @@ def process_norm(F: SimpleAdaptedProcess, t: float, B, p: float, q: float,
     if which not in PROCESS_NORMS:
         raise InvalidInputError(f"unknown process norm {which!r}")
     if not F.grid.is_refined:
-        raise InvalidInputError("grid must be refined to cell intensities <= 1")
+        raise InvalidInputError("every cell intensity must be at most 1")
     lam, probs, y = _process_tables(F, t, B, model)
     weights = F.elem_space.weights if F.elem_space is not None else None
     mode = "commutative" if F.elem_space is not None else "noncommutative"

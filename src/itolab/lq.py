@@ -204,135 +204,3 @@ def batch_norm_q(values: np.ndarray, q: float, weights: np.ndarray | None = None
     if math.isinf(q):
         return sv[..., 0]
     return _power_sum(sv, None, q) ** (1.0 / q)
-
-
-def norm_q(x: LqElement, q: float) -> float:
-    """L^q norm of a single element; q = inf gives the operator/sup norm."""
-    if x.kind == "commutative":
-        return float(batch_norm_q(x.values, q, x.space.weights))
-    return float(batch_norm_q(x.values, q))
-
-
-@dataclass(frozen=True, eq=False)
-class StepFunction:
-    """Nonincreasing step function t -> value on [b_{k-1}, b_k).
-
-    ``breakpoints`` starts at 0 and is strictly increasing; the function is
-    ``values[k]`` on [breakpoints[k], breakpoints[k+1]) and 0 beyond the end.
-    """
-
-    breakpoints: np.ndarray
-    values: np.ndarray
-
-    def __call__(self, t) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        idx = np.searchsorted(self.breakpoints[1:], t, side="right")
-        out = np.where(idx < len(self.values), self.values[np.minimum(idx, len(self.values) - 1)], 0.0)
-        return np.where(t < self.breakpoints[-1], out, 0.0)
-
-    def integral_power(self, q: float) -> float:
-        """Exact integral of (step value)^q dt over the support."""
-        lengths = np.diff(self.breakpoints)
-        return float((self.values ** q * lengths).sum())
-
-
-def decreasing_rearrangement(x: LqElement) -> StepFunction:
-    """Decreasing rearrangement mu_t(x) as an exact step function.
-
-    Matrix kind: the k-th singular value on [k-1, k).  Commutative kind: |f|
-    sorted decreasingly, each value carried on an interval of its atom's
-    weight.
-    """
-    if x.kind == "matrix":
-        sv = singular_values(x.values)
-        bp = np.arange(len(sv) + 1, dtype=float)
-        return StepFunction(bp, sv)
-    mods = np.abs(x.values)
-    order = np.argsort(-mods, kind="stable")
-    vals = mods[order]
-    lengths = x.space.weights[order]
-    bp = np.concatenate([[0.0], np.cumsum(lengths)])
-    return StepFunction(bp, vals)
-
-
-def modulus_square(x: LqElement, side: str = "column") -> LqElement:
-    """|x|^2 = x*x (column side) or |x*|^2 = xx* (row side).
-
-    Commutative elements return the pointwise |f|^2 for both sides.
-    """
-    if side not in ("column", "row"):
-        raise InvalidInputError(f"unknown side {side!r}")
-    if x.kind == "commutative":
-        return LqElement(np.abs(x.values) ** 2, x.space)
-    if side == "column":
-        return LqElement(x.values.conj().T @ x.values)
-    return LqElement(x.values @ x.values.conj().T)
-
-
-def embed(xs: list[LqElement], layout: str) -> LqElement:
-    """Block embedding diag/col/row of same-shaped elements.
-
-    Matrix kind produces the literal block matrix.  Commutative kind realizes
-    diag on the disjoint union of copies of the space, and col/row as the
-    pointwise square function (sum_i |x_i|^2)^(1/2); either way the norm
-    identities ||col(x_i)||_q = ||(sum x_i* x_i)^(1/2)||_q hold exactly.
-    """
-    if not xs:
-        raise InvalidInputError("embed needs at least one element")
-    kind = xs[0].kind
-    shape = xs[0].shape
-    for x in xs[1:]:
-        if x.kind != kind or x.shape != shape:
-            raise InvalidInputError("mixed kinds or shapes in embed")
-    n = len(xs)
-    if kind == "matrix":
-        d1, d2 = shape
-        if layout == "diag":
-            out = np.zeros((n * d1, n * d2), dtype=complex)
-            for k, x in enumerate(xs):
-                out[k * d1:(k + 1) * d1, k * d2:(k + 1) * d2] = x.values
-        elif layout == "col":
-            out = np.zeros((n * d1, d2), dtype=complex)
-            for k, x in enumerate(xs):
-                out[k * d1:(k + 1) * d1, :] = x.values
-        elif layout == "row":
-            out = np.zeros((d1, n * d2), dtype=complex)
-            for k, x in enumerate(xs):
-                out[:, k * d2:(k + 1) * d2] = x.values
-        else:
-            raise InvalidInputError(f"unknown layout {layout!r}")
-        return LqElement(out)
-    sp = xs[0].space
-    if layout == "diag":
-        ids = tuple((k, a) for k in range(n) for a in sp.atom_ids)
-        weights = np.tile(sp.weights, n)
-        vals = np.concatenate([x.values for x in xs])
-        return LqElement(vals, FiniteMeasureSpace(ids, weights))
-    if layout in ("col", "row"):
-        sq = np.zeros(sp.n_atoms)
-        for x in xs:
-            sq += np.abs(x.values) ** 2
-        return LqElement(np.sqrt(sq).astype(complex), sp)
-    raise InvalidInputError(f"unknown layout {layout!r}")
-
-
-def pair(x: LqElement, y: LqElement) -> complex:
-    """Trace pairing tr(xy); weighted sum of f*g for the commutative kind."""
-    if x.kind != y.kind:
-        raise InvalidInputError("pairing needs elements of the same kind")
-    if x.kind == "commutative":
-        if x.space != y.space:
-            raise InvalidInputError("pairing needs a common measure space")
-        return complex((x.space.weights * x.values * y.values).sum())
-    if x.shape[1] != y.shape[0] or x.shape[0] != y.shape[1]:
-        raise InvalidInputError("shapes incompatible for tr(xy)")
-    return complex(np.trace(x.values @ y.values))
-
-
-def as_weighted_diagonal(x: LqElement, q: float) -> LqElement:
-    """Matrix realization of a commutative element whose Schatten-q norm
-    equals the weighted vector norm: diag(w_s^(1/q) f_s) under standard trace."""
-    if x.kind != "commutative":
-        raise InvalidInputError("expected a commutative element")
-    scale = x.space.weights ** (1.0 / q)
-    return LqElement(np.diag(scale * x.values))

@@ -2,9 +2,9 @@
 
 A grid partition carries time breakpoints 0 = t_1 < ... < t_{l+1} and
 disjoint mark sets A_j with finite measures nu_j; the cell (i, j) has
-intensity lam_ij = (t_{i+1} - t_i) * nu_j.  After refinement, every cell
-satisfies lam_ij <= 1, the range where the centered moments of a Poisson
-count are two-sidedly comparable to lam:
+intensity lam_ij = (t_{i+1} - t_i) * nu_j.  A refined grid has every
+lam_ij <= 1, the range where the centered moments of a Poisson count are
+two-sidedly comparable to lam:
 
     b_p * lam <= E|N - lam|^p <= c_p * lam    (0 <= lam <= 1, p >= 1)
 
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lq import InvalidInputError
-from .prob import centered_poisson_moment, philox
+from .prob import centered_poisson_moment
 from .report import EXPLICIT, FAIL, MEASURED, PASS, CheckReport
 
 
@@ -89,75 +89,6 @@ class GridPartition:
             return self.j_labels.index(label)
         except ValueError:
             raise InvalidInputError(f"mark {label!r} is not a grid set") from None
-
-
-def refine(grid: GridPartition) -> GridPartition:
-    """Split time intervals uniformly until every cell has lam_ij <= 1.
-
-    Each interval is cut into the minimal uniform number of pieces, so an
-    already-fine grid comes back unchanged.
-    """
-    nu_max = float(grid.j_measures.max())
-    points = [0.0]
-    for i in range(grid.n_intervals):
-        a, b = grid.time_points[i], grid.time_points[i + 1]
-        n = max(1, math.ceil((b - a) * nu_max - 1e-12))
-        for k in range(1, n):
-            points.append(a + (b - a) * k / n)
-        points.append(b)
-    if len(points) == len(grid.time_points):
-        return grid
-    return GridPartition(np.array(points), grid.j_labels, grid.j_measures)
-
-
-@dataclass(eq=False)
-class PoissonFieldRealization:
-    """One draw of the field: per-cell counts plus the event times within
-    each cell (uniform given the count), so truncation at an interior time
-    is exact and regridding is consistent path-by-path."""
-
-    grid: GridPartition
-    counts: np.ndarray
-    event_times: list            # [interval][mark] -> sorted float array
-
-    def count_before(self, i: int, j: int, t: float) -> int:
-        """Events of cell (i, j) at times <= t."""
-        times = self.event_times[i][j]
-        return int(np.searchsorted(times, t, side="right"))
-
-    def regrid(self, fine: GridPartition) -> "PoissonFieldRealization":
-        """Reassign the same events to the cells of a finer time grid."""
-        if fine.n_marks != self.grid.n_marks:
-            raise InvalidInputError("regrid must keep the mark sets")
-        counts = np.zeros((fine.n_intervals, fine.n_marks), dtype=int)
-        events = [[None] * fine.n_marks for _ in range(fine.n_intervals)]
-        for j in range(self.grid.n_marks):
-            merged = np.concatenate([self.event_times[i][j] for i in range(self.grid.n_intervals)]) \
-                if self.grid.n_intervals else np.array([])
-            merged = np.sort(merged)
-            for i in range(fine.n_intervals):
-                a, b = fine.time_points[i], fine.time_points[i + 1]
-                sel = merged[(merged > a) & (merged <= b)]
-                events[i][j] = sel
-                counts[i, j] = len(sel)
-        return PoissonFieldRealization(fine, counts, events)
-
-
-def realize(grid: GridPartition, seed: int) -> PoissonFieldRealization:
-    """Independent Poisson(lam_ij) counts per cell, with uniform event times."""
-    gen = philox(seed)
-    lam = grid.intensities
-    counts = gen.poisson(lam)
-    events = []
-    for i in range(grid.n_intervals):
-        row = []
-        a, b = grid.time_points[i], grid.time_points[i + 1]
-        for j in range(grid.n_marks):
-            # times fall in (a, b], matching the cell convention
-            times = np.sort(a + (b - a) * (1.0 - gen.random(counts[i, j])))
-            row.append(times)
-        events.append(row)
-    return PoissonFieldRealization(grid, counts, events)
 
 
 def lower_bound_factor(p: float, lam) -> np.ndarray:

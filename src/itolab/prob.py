@@ -98,17 +98,6 @@ def product_space(spaces: list[FiniteProbabilitySpace], budget: int = DEFAULT_AT
     return ProductSpace(atoms, probs, tuple(spaces))
 
 
-def rademacher_space(n: int) -> FiniteProbabilitySpace:
-    """All 2^n sign vectors, equiprobable.  n <= 24."""
-    if n > 24:
-        raise BudgetExceededError(f"2^{n} sign patterns exceed the enumeration budget")
-    if n == 0:
-        return FiniteProbabilitySpace(((),), np.array([1.0]))
-    signs = sign_matrix(n)
-    atoms = tuple(tuple(int(s) for s in row) for row in signs)
-    return FiniteProbabilitySpace(atoms, np.full(1 << n, 2.0 ** (-n)))
-
-
 def sign_matrix(n: int) -> np.ndarray:
     """(2^n, n) array of +-1 patterns in enumeration order."""
     bits = (np.arange(1 << n)[:, None] >> np.arange(n)[None, :]) & 1
@@ -165,11 +154,6 @@ class RandomLqVariable:
         """View this factor variable as a variable on the product space."""
         idx = product.factor_indices(factor_index)
         return RandomLqVariable(product, self.values[idx], self.elem_space)
-
-
-def deterministic_variable(space: FiniteProbabilitySpace, x: LqElement) -> RandomLqVariable:
-    vals = np.broadcast_to(x.values, (space.n_atoms,) + x.values.shape).copy()
-    return RandomLqVariable(space, vals, x.space)
 
 
 def independent_product(variables: list[RandomLqVariable]) -> tuple[ProductSpace,
@@ -291,21 +275,3 @@ def categorical(gen: np.random.Generator, probs: np.ndarray, shape) -> np.ndarra
     cum = np.cumsum(probs)
     cum[-1] = 1.0
     return np.minimum(np.searchsorted(cum, gen.random(shape), side="right"), len(probs) - 1)
-
-
-def sample(dist, seed: int, n: int, stream: int = 0) -> np.ndarray:
-    """Reproducible draws of atom labels (FiniteProbabilitySpace) or counts
-    (TruncatedPoisson).  Identical seed/stream/parameters give identical output."""
-    if n < 1:
-        raise InvalidInputError("n must be >= 1")
-    if isinstance(dist, TruncatedPoisson):
-        space = dist.space()
-    elif isinstance(dist, FiniteProbabilitySpace):
-        space = dist
-    else:
-        raise InvalidInputError(f"cannot sample from {type(dist).__name__}")
-    idx = categorical(philox(seed, stream), space.probs, n)
-    atoms = space.atoms
-    if atoms and isinstance(atoms[0], (int, np.integer)):
-        return np.asarray(atoms, dtype=int)[idx]
-    return np.array([atoms[i] for i in idx], dtype=object)

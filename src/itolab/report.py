@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, asdict
 
 PASS = "pass"
@@ -12,6 +13,8 @@ EXPLICIT = "explicit"              # constant stated by the source result
 CONFIGURED = "configured"          # user-supplied stand-in for an implicit constant
 MEASURED = "measured-envelope"     # min/max of a measured ratio sweep
 
+NOT_FINITE = "a side is not finite: no verdict"
+
 
 @dataclass
 class CheckReport:
@@ -19,7 +22,8 @@ class CheckReport:
 
     ``status == "pass"`` certifies lhs <= constant * rhs + tolerance (for the
     declared direction); report-only rows record a measured ratio without a
-    verdict and never fail a run.
+    verdict and never fail a run.  A NaN number in ``details`` is dropped
+    and the row gets the ``NOT_FINITE`` note instead.
     """
 
     check_id: str
@@ -35,6 +39,12 @@ class CheckReport:
     seed: int | None = None
     runtime_ms: float = 0.0
     details: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        kept = {k: v for k, v in self.details.items()
+                if not (isinstance(v, float) and math.isnan(v))}
+        if len(kept) < len(self.details):
+            self.details = {**kept, "note": NOT_FINITE}
 
     def as_dict(self) -> dict:
         return asdict(self)

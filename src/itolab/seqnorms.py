@@ -85,7 +85,8 @@ class LqSequence:
 
 
 def norm_S(seq: LqSequence, q: float, side: str = "column") -> float:
-    """|| (sum_i E modulus_square(f_i, side))^(1/2) ||_q, exact expectation."""
+    """|| (sum_i E |f_i|^2)^(1/2) ||_q, exact expectation; |x|^2 = x*x on the
+    column side and xx* on the row side."""
     if side not in ("column", "row"):
         raise InvalidInputError(f"unknown side {side!r}")
     return sequence_atom("S_c" if side == "column" else "S_r", seq, q, q).value(seq.values)

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from itolab import randmat
+from itolab.lq import batch_norm_q
 
 np.seterr(all="warn", under="ignore")
 
@@ -27,3 +28,9 @@ def law_builds(monkeypatch):
 
     monkeypatch.setattr(randmat, "_summand_table", counted)
     return builds
+
+
+def norm_q(x, q: float) -> float:
+    """||x||_q of one LqElement through the batched kernel."""
+    weights = x.space.weights if x.space is not None else None
+    return float(batch_norm_q(x.values, q, weights))

@@ -1,4 +1,5 @@
-"""Every defaulted parameter of an ``itolab`` function is set by some call.
+"""Two scans of ``src/itolab``: every defaulted parameter of a function is set
+by some call, and every definition is reached from what a verdict runs.
 
 A default that no call overrides is a configuration nothing selects; it
 belongs in the function body as a constant.  The scan walks the definitions
@@ -9,6 +10,8 @@ every parameter, and ``functools.partial(f, ...)`` as a call of ``f``.
 """
 
 import ast
+import runpy
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -84,3 +87,116 @@ def unset_defaults() -> list[str]:
 
 def test_every_defaulted_parameter_is_set_by_some_call():
     assert unset_defaults() == []
+
+
+# -- reachability ------------------------------------------------------------------
+#
+# A definition of ``src/itolab`` that no verdict can reach is code that only its
+# own unit tests run.  The roots are everything ``cli`` and ``config`` define,
+# every itolab name the scripts and the acceptance criteria import or use, and
+# every function the benchmark traces.  Names resolve through each module's
+# imports and ``module.attr`` only, never by a bare name, so a local variable
+# cannot stand in for a definition of the same name elsewhere.
+
+SRC = ROOT / "src" / "itolab"
+MODULES = sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__")
+ROOT_MODULES = ("cli", "config")
+ROOT_FILES = (*sorted((ROOT / "scripts").glob("*.py")), ROOT / "tests" / "test_acceptance.py")
+
+
+def _imported(tree) -> dict:
+    """local name -> (module, name) of each itolab name a file imports, and
+    -> (module, None) of each itolab module."""
+    out = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level == 1:
+            module = node.module or ""
+        elif node.module == "itolab" or (node.module or "").startswith("itolab."):
+            module = node.module.removeprefix("itolab").lstrip(".")
+        else:
+            continue
+        for alias in node.names:
+            local = alias.asname or alias.name
+            out[local] = (module, alias.name) if module else (alias.name, None)
+    return out
+
+
+def _definitions_of(tree) -> dict:
+    """module-level name -> the statement that defines it."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        out[name.id] = node
+    return out
+
+
+def _references(node, namespace: dict):
+    """(module, name) of each itolab definition ``node`` names."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name):
+            module, name = namespace.get(n.value.id, (None, ""))
+            if module is not None and name is None:
+                yield module, n.attr
+        elif isinstance(n, ast.Name) and n.id in namespace:
+            module, name = namespace[n.id]
+            if name is not None:
+                yield module, name
+
+
+def benchmark_layers() -> dict:
+    """The namespace of ``perfbench/layers.py``: its ``TARGETS`` and ``Tracer``."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        return runpy.run_path(str(ROOT / "perfbench" / "layers.py"))
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+
+
+def unreached_definitions() -> list[str]:
+    defs, namespaces, pending = {}, {}, []
+    for module in MODULES:
+        tree = ast.parse((SRC / f"{module}.py").read_text())
+        own = _definitions_of(tree)
+        namespaces[module] = {**_imported(tree), **{n: (module, n) for n in own}}
+        defs.update({(module, n): node for n, node in own.items()})
+        # statements other than definitions run on import
+        pending += [(module, node) for node in tree.body if node not in own.values()
+                    and not isinstance(node, (ast.Import, ast.ImportFrom))]
+        if module in ROOT_MODULES:
+            pending += [(module, node) for node in own.values()]
+    reached = set()
+    for path in ROOT_FILES:
+        tree = ast.parse(path.read_text())
+        imported = _imported(tree)
+        reached |= {v for v in imported.values() if v[1] is not None}
+        reached |= set(_references(tree, imported))
+    reached |= {(t.module.removeprefix("itolab."), t.qualname.split(".")[0])
+                for t in benchmark_layers()["TARGETS"]}
+    pending += [(m, defs[m, n]) for m, n in reached if (m, n) in defs]
+    while pending:
+        module, node = pending.pop()
+        for ref in _references(node, namespaces[module]):
+            if ref in defs and ref not in reached:
+                reached.add(ref)
+                pending.append((ref[0], defs[ref]))
+    return sorted(f"{m}.{n}" for m, n in set(defs) - reached)
+
+
+def test_every_definition_is_reached():
+    assert unreached_definitions() == []
+
+
+def test_every_traced_target_exists():
+    # installing the benchmark's tracer raises MissingTarget for a traced
+    # name that is gone, and uninstalling restores every wrapped function
+    layers = benchmark_layers()
+    with layers["Tracer"](layers["TARGETS"]):
+        pass

@@ -68,6 +68,9 @@ _ONE_CELL = {"grid": {"time_points": [0.0, 1.0], "marks": [{"label": "A", "measu
 
 
 _CELL_OUTSIDE = dict(_ONE_CELL, cells=[{"i": 5, "j": 0, "value": [1.0]}])
+# one cell of intensity 2: outside the process norms' range lam <= 1
+_UNREFINED = dict(_ONE_CELL, grid={"time_points": [0.0, 2.0],
+                                   "marks": [{"label": "A", "measure": 1.0}]})
 _MEASURE_X = dict(_ONE_CELL, grid={"time_points": [0.0, 1.0],
                                    "marks": [{"label": "A", "measure": "x"}]})
 
@@ -120,6 +123,7 @@ _BAD_CONFIGS = {
     "lambda-grid-string-num": ({}, {"check": "poisson_moment_bounds",
                                     "lambda_grid": {"num": "x"}}),
     "empty-family": ({}, {"check": "ito_isomorphism", "family": []}),
+    "unrefined-family": ({}, {"check": "ito_isomorphism", "family": [_UNREFINED]}),
     "cell-outside-grid": ({}, {"check": "decoupling", "process": _CELL_OUTSIDE}),
     "string-measure": ({}, {"check": "decoupling", "process": _MEASURE_X}),
     "string-seed": ({"seed": "abc"}, {"check": "seginer"}),
@@ -282,6 +286,25 @@ def test_hoffmann_jorgensen_overflow_has_no_nan():
         assert r.status == "report-only"
         if not (math.isfinite(r.lhs) and math.isfinite(r.rhs)):
             assert "not finite" in r.details["note"]
+
+
+_NAN_PRONE = {"rosenthal_positive": {"check": "rosenthal_positive", "p": 1e308},
+              "symmetrization": {"check": "symmetrization", "p": 1e308},
+              "pq_ge2": {"check": "pq_ge2", "p": 1e308},
+              "rosenthal_lq": {"check": "rosenthal_lq", "p": 1e308, "q": 2.0},
+              "type_cotype": {"check": "type_cotype", "q": 1e308}}
+
+
+@pytest.mark.parametrize("job", _NAN_PRONE.values(), ids=_NAN_PRONE.keys())
+def test_no_nan_in_any_report(job):
+    # overflowed moments make NaN ratios and slacks: the report drops each
+    # one and notes the row instead
+    reports = run_jobs(parse_config({"version": 1, "checks": [dict(job, instances=1)]}))
+    assert reports
+    for r in reports:
+        assert not (math.isnan(r.lhs) or math.isnan(r.rhs))
+        assert not any(isinstance(v, float) and math.isnan(v) for v in r.details.values())
+    assert any("not finite" in r.details.get("note", "") for r in reports)
 
 
 def test_emit_json_round_trip(tmp_path):

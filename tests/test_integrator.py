@@ -7,13 +7,12 @@ import numpy as np
 import pytest
 
 from itolab.lq import LqElement, batch_norm_q, point_space, uniform_space
-from itolab.poisson import GridPartition, realize, refine
+from itolab.poisson import GridPartition
 from itolab.prob import exact_moment, philox, centered_poisson_moment
-from itolab.integrator import (SimpleAdaptedProcess, StepProcess, _process_tables,
-                               build_exact_model, condition_as_step, decoupled_integrate,
+from itolab.integrator import (SimpleAdaptedProcess, _process_tables, build_exact_model,
                                decoupling_difference_sequence, deterministic_process,
-                               grid_condition, integrate, integrate_exact,
-                               process_norm, running_max_moment, sample_paths)
+                               integrate_exact, process_norm, running_max_moment,
+                               sample_paths)
 from itolab.instances import (multi_cell_process, single_cell_process,
                               two_stage_adapted_process)
 
@@ -26,44 +25,24 @@ def one_cell(lam=0.4, value=2.0):
 
 def test_integrate_zero_process():
     grid = GridPartition(np.array([0.0, 1.0]), ("A",), np.array([0.5]))
-    F = deterministic_process(grid, {}, ES)
     F = SimpleAdaptedProcess(grid, {}, ES, (1,))
-    field = realize(grid, seed=1)
-    assert np.allclose(integrate(F, field, 1.0).values, 0.0)
+    assert np.allclose(integrate_exact(build_exact_model(F, eps=1e-8), 1.0).values, 0.0)
 
 
 def test_integrate_single_cell_is_scaled_count():
     F = one_cell()
-    field = realize(F.grid, seed=2)
-    got = integrate(F, field, 1.0)
-    comp = field.counts[0, 0] - 0.4
-    assert got.values[0] == pytest.approx(2.0 * comp)
-
-
-def test_integrate_interior_t_matches_regrid():
-    grid = GridPartition(np.array([0.0, 1.0, 2.5]), ("A", "B"), np.array([0.9, 0.4]))
-    cells = {(0, 0): np.array([1.0]), (1, 0): np.array([-2.0]), (1, 1): np.array([3.0])}
-    F = deterministic_process(grid, cells, ES)
-    field = realize(grid, seed=5)
-    t = 1.8
-    direct = integrate(F, field, t)
-    fine = GridPartition(np.array([0.0, 1.0, 1.8, 2.5]), ("A", "B"),
-                         np.array([0.9, 0.4]))
-    fine_cells = {(0, 0): np.array([1.0]), (1, 0): np.array([-2.0]),
-                  (2, 0): np.array([-2.0]), (1, 1): np.array([3.0]),
-                  (2, 1): np.array([3.0])}
-    F_fine = deterministic_process(fine, fine_cells, ES)
-    regridded = integrate(F_fine, field.regrid(fine), t)
-    assert np.allclose(direct.values, regridded.values, atol=1e-12)
+    model = build_exact_model(F, eps=1e-8)
+    got = integrate_exact(model, 1.0)
+    assert got.values[:, 0] == pytest.approx(2.0 * (model.counts[0] - 0.4))
 
 
 def test_integrate_restriction_to_marks():
     grid = GridPartition(np.array([0.0, 1.0]), ("A", "B"), np.array([0.5, 0.5]))
     cells = {(0, 0): np.array([1.0]), (0, 1): np.array([10.0])}
     F = deterministic_process(grid, cells, ES)
-    field = realize(grid, seed=3)
-    only_a = integrate(F, field, 1.0, B={"A"})
-    assert only_a.values[0] == pytest.approx(field.counts[0, 0] - 0.5)
+    model = build_exact_model(F, eps=1e-8)
+    only_a = integrate_exact(model, 1.0, B={"A"})
+    assert only_a.values[:, 0] == pytest.approx(model.counts[0] - 0.5)
 
 
 def test_exact_martingale_mean_zero():
@@ -99,7 +78,7 @@ def test_decoupled_deterministic_same_moments():
 def test_decoupled_zero_process():
     grid = GridPartition(np.array([0.0, 1.0]), ("A",), np.array([0.5]))
     F = SimpleAdaptedProcess(grid, {}, ES, (1,))
-    I = decoupled_integrate(F, 1.0, eps=1e-8)
+    I = integrate_exact(build_exact_model(F, 1e-8, decoupled=True), 1.0, use_copy=True)
     assert np.allclose(I.values, 0.0)
 
 
@@ -132,46 +111,6 @@ def test_running_max_zero_process():
     F = SimpleAdaptedProcess(grid, {}, ES, (1,))
     res = running_max_moment(F, 1.0, None, 2.0, 2.0, n_samples=100, seed=1)
     assert res["estimate"] == 0.0
-
-
-def test_grid_condition_idempotent():
-    grid = GridPartition(np.array([0.0, 1.0, 2.0]), ("A",), np.array([0.8]))
-    G = StepProcess(np.array([0.0, 1.0, 2.0]),
-                    np.array([[[1.5]], [[-0.5]]], dtype=complex), ES)
-    cond = grid_condition(G, grid)
-    again = grid_condition(condition_as_step(cond, grid, (1,), ES), grid)
-    for key in cond:
-        assert np.allclose(cond[key].values, again[key].values)
-
-
-def test_grid_condition_half_cell_average():
-    grid = GridPartition(np.array([0.0, 1.0]), ("A",), np.array([1.0]))
-    G = StepProcess(np.array([0.0, 0.5, 1.0]),
-                    np.array([[[1.0]], [[0.0]]], dtype=complex), ES)
-    cond = grid_condition(G, grid)
-    assert cond[(0, 0)].values[0] == pytest.approx(0.5)
-
-
-def test_grid_condition_outside_support_is_zero():
-    grid = GridPartition(np.array([0.0, 1.0]), ("A",), np.array([1.0]))
-    G = StepProcess(np.array([2.0, 3.0]), np.array([[[4.0]]], dtype=complex), ES)
-    assert grid_condition(G, grid) == {}
-
-
-def test_grid_condition_contracts_process_norms():
-    grid = GridPartition(np.array([0.0, 1.0]), ("A",), np.array([1.0]))
-    fine_vals = np.array([[[2.0]], [[-1.0]], [[0.5]], [[1.5]]], dtype=complex)
-    G = StepProcess(np.array([0.0, 0.25, 0.5, 0.75, 1.0]), fine_vals, ES)
-    fine_grid = GridPartition(np.array([0.0, 0.25, 0.5, 0.75, 1.0]), ("A",),
-                              np.array([1.0]))
-    F_fine = deterministic_process(fine_grid,
-                                   {(i, 0): fine_vals[i, 0] for i in range(4)}, ES)
-    cond = grid_condition(G, grid)
-    F_coarse = deterministic_process(grid, {k: v.values for k, v in cond.items()}, ES)
-    for which in ("S", "D_qq", "D_pq"):
-        v_fine = process_norm(F_fine, 1.0, None, 3.0, 2.0, which)
-        v_coarse = process_norm(F_coarse, 1.0, None, 3.0, 2.0, which)
-        assert v_coarse <= v_fine + 1e-10
 
 
 def test_process_norm_single_cell_formulas():
@@ -209,15 +148,10 @@ def test_process_norm_matrix_sides():
 
 
 def test_refinement_leaves_integrals_and_norms_unchanged():
-    grid = GridPartition(np.array([0.0, 2.0]), ("A",), np.array([1.0]))
-    F = deterministic_process(grid, {(0, 0): np.array([1.3])}, ES)
-    fine_grid = refine(grid)
+    # the one-cell grid [0, 2] x A with nu = 1, cut into two unit cells
+    fine_grid = GridPartition(np.array([0.0, 1.0, 2.0]), ("A",), np.array([1.0]))
     F_fine = deterministic_process(
         fine_grid, {(i, 0): np.array([1.3]) for i in range(fine_grid.n_intervals)}, ES)
-    field = realize(grid, seed=13)
-    v1 = integrate(F, field, 2.0)
-    v2 = integrate(F_fine, field.regrid(fine_grid), 2.0)
-    assert np.allclose(v1.values, v2.values, atol=1e-12)
     for which in ("S", "D_qq", "D_pq"):
         a = process_norm(F_fine, 2.0, None, 3.0, 2.0, which)
         # the unrefined grid has lam = 2 > 1; compute its formula directly
@@ -310,26 +244,6 @@ def _ref_window_cells(grid, t, B):
         for j in marks:
             out.append((i, j, clip))
     return out
-
-
-def _ref_integrate(F, field, t, B=None):
-    grid = F.grid
-    total = np.zeros(F.elem_shape, dtype=complex)
-    for i, j, clip in _ref_window_cells(grid, t, B):
-        if (i, j) not in F.coefficients:
-            continue
-        counts_before = {(ii, jj): int(field.counts[ii, jj])
-                         for ii in range(i) for jj in range(grid.n_marks)}
-        y = _ref_coefficient_at(F, i, j, counts_before)
-        a = grid.time_points[i]
-        full = grid.time_points[i + 1] - a
-        if clip >= full:
-            n_win = int(field.counts[i, j])
-        else:
-            n_win = field.count_before(i, j, a + clip)
-        lam_win = clip * grid.j_measures[j]
-        total = total + y.values * (n_win - lam_win)
-    return total
 
 
 def _ref_integrate_exact(model, t, B=None, use_copy=False):
@@ -440,21 +354,6 @@ def _mark_sets(F):
 
 def _breaks(F):
     return [float(tp) for tp in F.grid.time_points[1:]]
-
-
-@pytest.mark.parametrize("name", sorted(_PROCESSES))
-def test_integrate_matches_reference_bits(name):
-    F = _PROCESSES[name]
-    tp = F.grid.time_points
-    ts = _breaks(F) + [float(0.5 * (a + b)) for a, b in zip(tp[:-1], tp[1:])] + [0.05, 9.0]
-    for seed in range(8):
-        field = realize(F.grid, seed=seed)
-        for B in _mark_sets(F):
-            for t in ts:
-                got = integrate(F, field, t, B)
-                _assert_bits(got.values, _ref_integrate(F, field, t, B))
-                if B == set():
-                    assert not np.any(got.values)
 
 
 @pytest.mark.parametrize("name", sorted(_PROCESSES))

@@ -4,34 +4,8 @@ import numpy as np
 import pytest
 
 from itolab.poisson import (GridPartition, default_lambda_grid, lower_bound_factor,
-                            realize, refine, verify_poisson_moment_bounds)
+                            verify_poisson_moment_bounds)
 from itolab.prob import centered_poisson_moment
-
-
-def test_refine_already_fine():
-    grid = GridPartition(np.array([0.0, 0.5, 1.0]), ("A",), np.array([0.9]))
-    assert refine(grid) is grid
-
-
-def test_refine_unit_cells():
-    grid = GridPartition(np.array([0.0, 5.0]), ("A",), np.array([1.0]))
-    fine = refine(grid)
-    assert fine.n_intervals == 5
-    assert np.allclose(fine.intensities, 1.0)
-
-
-def test_refine_ceiling_arithmetic():
-    grid = GridPartition(np.array([0.0, 2.5]), ("A",), np.array([0.8]))
-    fine = refine(grid)
-    assert fine.n_intervals == 2
-    assert np.allclose(fine.intensities, 1.0)
-
-
-def test_refine_respects_multiple_marks():
-    grid = GridPartition(np.array([0.0, 3.0]), ("A", "B"), np.array([0.4, 1.1]))
-    fine = refine(grid)
-    assert fine.is_refined
-    assert fine.intensities.max() <= 1.0 + 1e-12
 
 
 def test_realize_statistics():
@@ -46,37 +20,6 @@ def test_realize_statistics():
     var_target = centered_poisson_moment(2.0, lam)
     sd = (comps ** 2).std() / math.sqrt(n)
     assert abs((comps ** 2).mean() - var_target) <= 3 * sd
-
-
-def test_realize_event_times_match_counts():
-    grid = GridPartition(np.array([0.0, 1.0, 2.0]), ("A", "B"), np.array([0.9, 0.5]))
-    field = realize(grid, seed=21)
-    for i in range(2):
-        for j in range(2):
-            times = field.event_times[i][j]
-            assert len(times) == field.counts[i, j]
-            lo, hi = grid.time_points[i], grid.time_points[i + 1]
-            assert np.all((times > lo) & (times <= hi))
-
-
-def test_realize_deterministic_in_seed():
-    grid = GridPartition(np.array([0.0, 1.0]), ("A",), np.array([0.7]))
-    a = realize(grid, seed=5)
-    b = realize(grid, seed=5)
-    assert np.array_equal(a.counts, b.counts)
-    assert all(np.array_equal(x, y) for x, y in
-               zip(a.event_times[0], b.event_times[0]))
-
-
-def test_regrid_preserves_events():
-    grid = GridPartition(np.array([0.0, 2.0]), ("A",), np.array([0.5]))
-    field = realize(grid, seed=9)
-    fine = GridPartition(np.array([0.0, 0.7, 2.0]), ("A",), np.array([0.5]))
-    refield = field.regrid(fine)
-    assert refield.counts.sum() == field.counts.sum()
-    merged = np.sort(np.concatenate([refield.event_times[0][0],
-                                     refield.event_times[1][0]]))
-    assert np.allclose(merged, field.event_times[0][0])
 
 
 def test_compensated_mean_zero_under_truncation():

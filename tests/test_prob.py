@@ -3,18 +3,23 @@ import math
 import numpy as np
 import pytest
 
+from conftest import norm_q
 from itolab.lq import InvalidInputError, LqElement, point_space, uniform_space
 from itolab.prob import (BudgetExceededError, FiniteProbabilitySpace,
-                         RandomLqVariable, centered_poisson_moment,
-                         deterministic_variable, exact_moment,
-                         independent_product, moment_ci, philox, product_space,
-                         rademacher_space, sample, sign_matrix, truncated_poisson)
+                         RandomLqVariable, categorical, centered_poisson_moment,
+                         exact_moment, independent_product, moment_ci, philox,
+                         product_space, sign_matrix, truncated_poisson)
 
 RNG = np.random.default_rng(7)
 
 
 def coin():
     return FiniteProbabilitySpace(("h", "t"), np.array([0.5, 0.5]))
+
+
+def sign_space(n: int):
+    """The 2^n equiprobable sign patterns: their space and the (2^n, n) signs."""
+    return FiniteProbabilitySpace(tuple(range(1 << n)), np.full(1 << n, 2.0 ** -n)), sign_matrix(n)
 
 
 def test_product_two_coins():
@@ -49,26 +54,9 @@ def test_product_budget_error():
         product_space([big] * 5, budget=10 ** 6)
 
 
-def test_rademacher_space_small():
-    r1 = rademacher_space(1)
-    assert set(r1.atoms) == {(1,), (-1,)}
-    assert np.allclose(r1.probs, 0.5)
-    r3 = rademacher_space(3)
-    assert r3.n_atoms == 8
-    assert np.allclose(r3.probs, 1 / 8)
-    signs = np.array(r3.atoms, dtype=float)
-    assert np.allclose(r3.expectation(signs), 0.0)
-
-
-def test_rademacher_budget():
-    with pytest.raises(BudgetExceededError):
-        rademacher_space(25)
-
-
 def test_exact_moment_deterministic():
     x = LqElement(RNG.standard_normal((2, 2)) + 0j)
-    X = deterministic_variable(coin(), x)
-    from itolab.lq import norm_q
+    X = RandomLqVariable(coin(), np.stack([x.values, x.values]))
     for p in (1.0, 2.5, 4.0):
         for q in (1.0, 3.0):
             assert exact_moment(X, p, q) == pytest.approx(norm_q(x, q), rel=1e-12)
@@ -76,10 +64,9 @@ def test_exact_moment_deterministic():
 
 def test_exact_moment_single_rademacher():
     x = LqElement(np.array([1.5, -2.0]), uniform_space(2))
-    space = rademacher_space(1)
-    vals = np.array([x.values, -x.values])
+    space, signs = sign_space(1)
+    vals = signs[:, :1] * x.values
     X = RandomLqVariable(space, vals, x.space)
-    from itolab.lq import norm_q
     for p in (1.0, 3.0):
         assert exact_moment(X, p, 2.0) == pytest.approx(norm_q(x, 2.0), rel=1e-12)
 
@@ -87,11 +74,11 @@ def test_exact_moment_single_rademacher():
 def test_exact_moment_two_rademachers_hand_sum():
     # orthogonal unit coordinates of l_q^2, p = q: hand enumeration of 4 signs
     q = 3.0
-    space = rademacher_space(2)
+    space, signs = sign_space(2)
     e1 = np.array([1.0, 0.0])
     e2 = np.array([0.0, 1.0])
     es = uniform_space(2, total=2.0)  # weights (1, 1)
-    vals = np.stack([s[0] * e1 + s[1] * e2 for s in space.atoms]).astype(complex)
+    vals = np.stack([s[0] * e1 + s[1] * e2 for s in signs]).astype(complex)
     X = RandomLqVariable(space, vals, es)
     # oracle: each sign pattern gives |±1|^q + |±1|^q = 2, so moment = 2^(1/q)
     hand = (0.25 * sum((1 + 1) ** (q / q) for _ in range(4))) ** (1 / q)
@@ -186,24 +173,24 @@ def test_centered_moment_truncation_bound_dominates():
 
 
 def test_sample_deterministic_streams():
-    s1 = sample(coin(), seed=42, n=50)
-    s2 = sample(coin(), seed=42, n=50)
+    s1 = categorical(philox(42), coin().probs, 50)
+    s2 = categorical(philox(42), coin().probs, 50)
     assert list(s1) == list(s2)
-    s3 = sample(coin(), seed=42, n=50, stream=1)
+    s3 = categorical(philox(42, 1), coin().probs, 50)
     assert list(s1) != list(s3)
 
 
 def test_sample_fair_coin_clt_band():
     n = 10 ** 5
-    draws = sample(coin(), seed=7, n=n)
-    mean = np.mean(draws == "h")
+    draws = categorical(philox(7), coin().probs, n)
+    mean = np.mean(draws == 0)
     assert abs(mean - 0.5) <= 3 * 0.5 / math.sqrt(n)
 
 
 def test_sample_truncated_poisson_vs_series():
     lam, n = 0.3, 10 ** 5
     tp = truncated_poisson(lam, 1e-12)
-    draws = sample(tp, seed=11, n=n).astype(float)
+    draws = categorical(philox(11), tp.probs, n).astype(float)
     emp = ((draws - lam) ** 2).mean()
     target = centered_poisson_moment(2.0, lam)
     sd = ((draws - lam) ** 2).std() / math.sqrt(n)

