@@ -34,8 +34,8 @@ def main():
         for lam in args.lambdas:
             F = single_cell_process(lam, np.array([args.value]), es)
             model = build_exact_model(F, eps=1e-12)
-            mom = exact_moment(integrate_exact(model, 1.0, None), p, q)
-            val = process_norm(F, 1.0, None, p, q, "I_regime", 1e-5, model=model)
+            mom = exact_moment(integrate_exact(model), p, q)
+            val = process_norm(F, p, q, 1e-5, model=model)
             print(f"{lam:8.3f} {mom:12.6f} {val:12.6f} {mom / val:8.3f}")
 
 

@@ -410,9 +410,8 @@ def check_decoupling(F, p: float, q: float, *, table: ConstantTable = DEFAULT_TA
     configured.
     """
     model = integrator.build_exact_model(F, eps, decoupled=True)
-    t = float(F.grid.time_points[-1])
-    lhs = exact_moment(integrator.integrate_exact(model, t), p, q)
-    rhs = exact_moment(integrator.integrate_exact(model, t, use_copy=True), p, q)
+    lhs = exact_moment(integrator.integrate_exact(model), p, q)
+    rhs = exact_moment(integrator.integrate_exact(model, use_copy=True), p, q)
     ratio = lhs / rhs if rhs > 0 else (1.0 if lhs == 0 else math.inf)
     details = {"ratio": ratio, "truncation_tail": model.truncation_tail,
                "deterministic": F.is_deterministic}
@@ -439,18 +438,16 @@ def _ito_member(F, p: float, q: float, tol: float, n_samples: int, seed: int,
     """(terminal moment, its 3-sigma CI half-width, Monte Carlo?, regime
     process norm) of one process at its final time: exact on the truncated
     product space where it fits the budget, else from sampled paths."""
-    t = float(F.grid.time_points[-1])
     try:
         model = integrator.build_exact_model(F, ITO_EPS, ITO_EXACT_BUDGET)
-        moment, ci = exact_moment(integrator.integrate_exact(model, t), p, q), 0.0
+        moment, ci = exact_moment(integrator.integrate_exact(model), p, q), 0.0
     except BudgetExceededError:
         model = None
-        norms = integrator.sample_paths(F, t, None, q, n_samples, seed, stream=stream)
+        norms = integrator.sample_paths(F, q, n_samples, seed, stream=stream)
         moment, ci = moment_ci(norms[:, -1], p)
         ci *= 3.0
-    value = integrator.process_norm(F, t, None, p, q, "I_regime", tol, model=model,
-                                    restarts=CHECK_RESTARTS, max_iter=CHECK_MAX_ITER,
-                                    seed=seed)
+    value = integrator.process_norm(F, p, q, tol, model=model, restarts=CHECK_RESTARTS,
+                                    max_iter=CHECK_MAX_ITER, seed=seed)
     return moment, ci, model is None, value
 
 
@@ -504,8 +501,7 @@ def check_doob(F, p: float, q: float, *, n_samples: int = 4000, seed: int = 0) -
     Statistical: both sides are estimated from the same paths and the
     threshold is widened by 3 CI half-widths.
     """
-    res = integrator.running_max_moment(F, float(F.grid.time_points[-1]), None, p, q,
-                                        n_samples, seed)
+    res = integrator.running_max_moment(F, p, q, n_samples, seed)
     p_prime = conjugate_exponent(p)
     lhs = res["estimate"]
     rhs = p_prime * res["terminal"]

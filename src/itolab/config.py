@@ -190,7 +190,9 @@ KINDS = {
     "seed": partial(_integer, lo=0), "samples": partial(_integer, lo=2),
     "mode": partial(_value, ok=lambda v: v in ("exact", "sampled"), domain="exact or sampled"),
     "record_runtime": partial(_value, **_FLAG), "constants": _constants,
-    "p": _exponents, "q": _exponents, "norm_exp": partial(_number, **_POSITIVE),
+    "p": _exponents, "q": _exponents,
+    "norm_exp": partial(_number, ok=lambda x: 1 <= x < math.inf,
+                        domain="a finite number of at least 1"),
     "eps": partial(_number, ok=lambda x: 0 < x < 1, domain="a number in (0, 1)"),
     "tol": partial(_number, **_POSITIVE), "n_samples": partial(_integer, lo=2),
     **dict.fromkeys(("n_items", "n_atoms", "instances", "d1", "d2", "n", "d"), _integer),

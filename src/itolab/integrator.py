@@ -3,20 +3,20 @@
 A simple adapted process is a finite tensor form over the cells of a grid
 partition: on cell (i, j) it takes a value y_ij that may depend only on the
 counts of cells with earlier time index (adaptedness is structural: the
-coefficient callback is handed exactly those counts).  The integral over
-(0, t] x B is the finite sum
+coefficient callback is handed exactly those counts).  Its integral over the
+whole grid is the finite sum
 
-    sum_{cells in the window} y_ij * (N_ij - lam_ij),
+    sum_ij y_ij * (N_ij - lam_ij),
 
-piecewise constant in t between breakpoints.
+and the running integral up to a breakpoint is the same sum over the
+intervals before it.
 
 Every integral goes through two helpers.  ``_coefficient_table`` evaluates
 the coefficients against cell counts with one column per outcome (the atoms
 of the product space, or sampled paths), calling each adapted coefficient
-once per distinct pattern of earlier-cell counts.  ``_window_sums`` runs the
-sum over (0, t] x B with lam_ij = clip * nu_j and yields it at the end of
-each time interval.  Both routes take t at a breakpoint and snap it to the
-breakpoint it matches; the process norms clip the last cell at any t.
+once per distinct pattern of earlier-cell counts.  ``_running_sums`` runs the
+sum over the grid's time-major cells and yields it at the end of each time
+interval, which is all Doob's running maximum needs.
 
 Exact mode represents the sample space as the product of truncated-Poisson
 cell spaces, which makes moments, martingale properties, and the decoupling
@@ -36,7 +36,6 @@ and the regime composite combines them with max / infimal-sum connectives.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,20 +106,6 @@ def deterministic_process(grid: GridPartition, cells: dict,
     return SimpleAdaptedProcess(grid, coeff, elem_space, shape or ())
 
 
-def _window_cells(grid: GridPartition, t: float, B) -> list[list[tuple[int, float]]]:
-    """Per time interval meeting (0, t]: (time-major cell index, clipped
-    intensity clip * nu_j) of each of its cells with a mark in B."""
-    marks = range(grid.n_marks) if B is None else sorted(grid.mark_index(b) for b in B)
-    out = []
-    for i in range(grid.n_intervals):
-        a = grid.time_points[i]
-        if t <= a:
-            break
-        clip = min(grid.time_points[i + 1], t) - a
-        out.append([(i * grid.n_marks + j, clip * grid.j_measures[j]) for j in marks])
-    return out
-
-
 def _coefficient_table(F: SimpleAdaptedProcess, cells: list, counts: np.ndarray) -> np.ndarray:
     """Coefficients (cells, columns, *elem) of the time-major ``cells``, with
     ``counts`` holding one row per cell and one column per outcome.
@@ -147,23 +132,17 @@ def _coefficient_table(F: SimpleAdaptedProcess, cells: list, counts: np.ndarray)
     return y
 
 
-def _window_sums(windows: list, y: np.ndarray, counts: np.ndarray):
-    """The integral sum_k y_k (N_k - lam_k) over the window, per column,
-    yielded at the end of each interval of ``windows``."""
+def _running_sums(grid: GridPartition, y: np.ndarray, counts: np.ndarray):
+    """The integral sum_k y_k (N_k - lam_k) over the grid's time-major cells,
+    per column, yielded at the end of each time interval."""
+    lam = grid.intensities
     total = np.zeros(counts.shape[1:] + y.shape[2:], dtype=complex)
-    for interval in windows:
-        for k, lam in interval:
-            comp = counts[k] - lam
+    for i in range(grid.n_intervals):
+        for j in range(grid.n_marks):
+            k = i * grid.n_marks + j
+            comp = counts[k] - lam[i, j]
             total = total + y[k] * comp.reshape(comp.shape + (1,) * (y.ndim - 2))
         yield total
-
-
-def _breakpoint(grid: GridPartition, t: float) -> float:
-    """The grid breakpoint t is close to."""
-    for tp in grid.time_points[1:]:
-        if math.isclose(t, tp):
-            return float(tp)
-    raise InvalidInputError("exact and sampled integrals take t at a grid breakpoint")
 
 
 # -- exact mode ----------------------------------------------------------------
@@ -209,15 +188,12 @@ def build_exact_model(F: SimpleAdaptedProcess, eps: float = 1e-10,
     return ExactModel(F, prod, cell_order, counts, y, tail, counts_c)
 
 
-def integrate_exact(model: ExactModel, t: float, B=None,
-                    use_copy: bool = False) -> RandomLqVariable:
-    """The integral as an exact random variable; t must be a breakpoint."""
-    grid = model.process.grid
-    t = _breakpoint(grid, t)
+def integrate_exact(model: ExactModel, use_copy: bool = False) -> RandomLqVariable:
+    """The integral over the whole grid as an exact random variable."""
     counts = model.counts_c if use_copy else model.counts
     if use_copy and counts is None:
         raise InvalidInputError("model was built without a decoupled copy")
-    for total in _window_sums(_window_cells(grid, t, B), model.y, counts):
+    for total in _running_sums(model.process.grid, model.y, counts):
         pass
     return RandomLqVariable(model.space, total, model.process.elem_space)
 
@@ -225,36 +201,34 @@ def integrate_exact(model: ExactModel, t: float, B=None,
 # -- sampled paths -------------------------------------------------------------
 
 
-def sample_paths(F: SimpleAdaptedProcess, t: float, B, q: float,
-                 n_samples: int, seed: int, stream: int = 0):
-    """Norms of the integral at every breakpoint <= t, per sampled path.
+def sample_paths(F: SimpleAdaptedProcess, q: float, n_samples: int, seed: int,
+                 stream: int = 0):
+    """Norms of the integral at every breakpoint, per sampled path.
 
-    Returns an (n_samples, n_prefixes) array of ||integral over (0, s]||_q
+    Returns an (n_samples, n_intervals) array of ||integral over (0, s]||_q
     for the breakpoints s.  The path is a step function in s, so these are
     the only values the running supremum can take.
     """
     grid = F.grid
-    windows = _window_cells(grid, _breakpoint(grid, t), B)
     lam = grid.intensities
     counts = philox(seed, stream).poisson(lam, size=(n_samples,) + lam.shape)
-    counts = counts.reshape(n_samples, -1).T[:len(windows) * grid.n_marks]
+    counts = counts.reshape(n_samples, -1).T
     # a deterministic table is one column, broadcast over the paths
-    y = _coefficient_table(F, grid.cells()[:len(counts)],
-                           counts[:, :1] if F.is_deterministic else counts)
+    y = _coefficient_table(F, grid.cells(), counts[:, :1] if F.is_deterministic else counts)
     weights = F.elem_space.weights if F.elem_space is not None else None
     return np.stack([batch_norm_q(total, q, weights)
-                     for total in _window_sums(windows, y, counts)], axis=1)
+                     for total in _running_sums(grid, y, counts)], axis=1)
 
 
-def running_max_moment(F: SimpleAdaptedProcess, t: float, B, p: float, q: float,
+def running_max_moment(F: SimpleAdaptedProcess, p: float, q: float,
                        n_samples: int, seed: int) -> dict:
-    """Monte Carlo (E sup_{s<=t} ||int_(0,s]||_q^p)^(1/p) with a CI half-width.
+    """Monte Carlo (E sup_s ||int_(0,s]||_q^p)^(1/p) with a CI half-width.
 
     The supremum runs over grid breakpoints, which is exact because the
     integral path is a step function in s.  The terminal moment estimate and
     its CI come from the same paths.
     """
-    norms = sample_paths(F, t, B, q, n_samples, seed)
+    norms = sample_paths(F, q, n_samples, seed)
     sup_est, sup_ci = moment_ci(norms.max(axis=1), p)
     term_est, term_ci = moment_ci(norms[:, -1], p)
     return {"estimate": sup_est, "ci_half": sup_ci,
@@ -265,48 +239,34 @@ def running_max_moment(F: SimpleAdaptedProcess, t: float, B, p: float, q: float,
 # -- process norms -------------------------------------------------------------
 
 
-PROCESS_NORMS = ("S", "S_c", "S_r", "D_qq", "D_pq", "I_regime")
-
-
-def _process_tables(F: SimpleAdaptedProcess, t: float, B, model: ExactModel | None):
-    """(lam vector, probs, y table (cells, atoms, *elem)) for the window; an
+def _process_tables(F: SimpleAdaptedProcess, model: ExactModel | None):
+    """(time-major lam vector, probs, y table (cells, atoms, *elem)); an
     adapted process without ``model`` is materialized at the defaults of
     ``build_exact_model``."""
     grid = F.grid
-    window = [cell for interval in _window_cells(grid, t, B) for cell in interval]
-    lam = np.array([lam for _, lam in window])
+    lam = grid.intensities.ravel()
     if F.is_deterministic:
-        probs = np.ones(1)
         cells = grid.cells()
-        y = _coefficient_table(F, cells, np.zeros((len(cells), 1), dtype=int))
-    else:
-        if model is None:
-            model = build_exact_model(F)
-        probs, y = model.space.probs, model.y
-    return lam, probs, y[[k for k, _ in window]]
+        return lam, np.ones(1), _coefficient_table(F, cells, np.zeros((len(cells), 1), dtype=int))
+    if model is None:
+        model = build_exact_model(F)
+    return lam, model.space.probs, model.y
 
 
-def process_norm(F: SimpleAdaptedProcess, t: float, B, p: float, q: float,
-                 which: str, tol: float = 1e-6, *, model: ExactModel | None = None,
-                 restarts: int = 8, max_iter: int = 5000, seed: int = 0):
-    """One of the process norms, or the regime composite for ``I_regime``.
+def process_norm(F: SimpleAdaptedProcess, p: float, q: float, tol: float = 1e-6, *,
+                 model: ExactModel | None = None, restarts: int = 8, max_iter: int = 5000,
+                 seed: int = 0):
+    """The regime composite process norm over the whole grid, an upper bound.
 
-    Cells are clipped to (0, t] x B.  An adapted process without ``model``
-    is materialized at truncation eps 1e-10 and the default budget.  For the
-    composite, sums are optimized decompositions of the coefficient table
-    and the value is an upper bound.
+    An adapted process without ``model`` is materialized at truncation eps
+    1e-10 and the default budget.  Sums are optimized decompositions of the
+    coefficient table.
     """
-    if which not in PROCESS_NORMS:
-        raise InvalidInputError(f"unknown process norm {which!r}")
     if not F.grid.is_refined:
         raise InvalidInputError("every cell intensity must be at most 1")
-    lam, probs, y = _process_tables(F, t, B, model)
+    lam, probs, y = _process_tables(F, model)
     weights = F.elem_space.weights if F.elem_space is not None else None
-    mode = "commutative" if F.elem_space is not None else "noncommutative"
-
-    if which != "I_regime":
-        return norm_atom(which, p, q, probs, weights, lam).value(y)
-    spec = regime_select(p, q, mode)
+    spec = regime_select(p, q, "commutative" if F.elem_space is not None else "noncommutative")
     return evaluate_tree(spec.tree, lambda name: norm_atom(name, p, q, probs, weights, lam), y,
                          tol, restarts=restarts, max_iter=max_iter, seed=seed)[0]
 

@@ -43,8 +43,9 @@ class GridPartition:
         object.__setattr__(self, "time_points", t)
         object.__setattr__(self, "j_measures", nu)
         object.__setattr__(self, "j_labels", tuple(self.j_labels))
-        if t[0] != 0.0 or np.any(np.diff(t) <= 0):
-            raise InvalidInputError("time points must start at 0 and strictly increase")
+        if t.size < 2 or t[0] != 0.0 or np.any(np.diff(t) <= 0):
+            raise InvalidInputError("time points must start at 0 and strictly increase, "
+                                    "with at least one interval")
         if len(self.j_labels) != nu.shape[0] or np.any(nu <= 0):
             raise InvalidInputError("each mark set needs a positive finite measure")
         t.setflags(write=False)
@@ -83,12 +84,6 @@ class GridPartition:
 
     def cells(self) -> list[tuple[int, int]]:
         return [(i, j) for i in range(self.n_intervals) for j in range(self.n_marks)]
-
-    def mark_index(self, label) -> int:
-        try:
-            return self.j_labels.index(label)
-        except ValueError:
-            raise InvalidInputError(f"mark {label!r} is not a grid set") from None
 
 
 def lower_bound_factor(p: float, lam) -> np.ndarray:

@@ -67,7 +67,8 @@ class FiniteProbabilitySpace:
 
 @dataclass(frozen=True, eq=False)
 class ProductSpace(FiniteProbabilitySpace):
-    """Product of independent factors; atoms are tuples of factor labels."""
+    """Product of independent factors; atoms are indices in C order, and
+    ``factor_indices`` maps them to the factors' atoms."""
 
     factors: tuple = ()
 
@@ -89,13 +90,7 @@ def product_space(spaces: list[FiniteProbabilitySpace], budget: int = DEFAULT_AT
     probs = np.ones(1)
     for s in spaces:
         probs = np.multiply.outer(probs, s.probs).ravel()
-    sizes = [s.n_atoms for s in spaces]
-    if total <= 1 << 16:
-        grids = np.unravel_index(np.arange(total), sizes)
-        atoms = tuple(tuple(s.atoms[g[a]] for s, g in zip(spaces, grids)) for a in range(total))
-    else:
-        atoms = tuple(range(total))
-    return ProductSpace(atoms, probs, tuple(spaces))
+    return ProductSpace(range(total), probs, tuple(spaces))
 
 
 def sign_matrix(n: int) -> np.ndarray:

@@ -325,9 +325,11 @@ def bound_latala(ens: MatrixEnsemble, p: float, *, n_samples: int = 10_000,
     emax, _ = _entry_max_moment(ens, p, n_samples, seed)
     shape = p / math.log(max(p, 1.0 + 1e-9))
     moment_rhs = shape * (base + emax)
-    details = {"first_moment": first, "terms_sum": base, "first_ratio": first / base,
-               "moment_ratio": lhs_p / moment_rhs, "fourth_term": fourth,
-               "entry_max": emax, "row_term": r_row, "column_term": r_col}
+    details = {"first_moment": first, "terms_sum": base,
+               "first_ratio": first / base if base > 0 else (0.0 if first == 0 else math.inf),
+               "moment_ratio": (lhs_p / moment_rhs if moment_rhs > 0
+                                else (0.0 if lhs_p == 0 else math.inf)),
+               "fourth_term": fourth, "entry_max": emax, "row_term": r_row, "column_term": r_col}
     if table.latala_constant is not None:
         c = table.latala_constant
         ok = first <= c * base and lhs_p <= c * moment_rhs

@@ -73,6 +73,8 @@ _UNREFINED = dict(_ONE_CELL, grid={"time_points": [0.0, 2.0],
                                    "marks": [{"label": "A", "measure": 1.0}]})
 _MEASURE_X = dict(_ONE_CELL, grid={"time_points": [0.0, 1.0],
                                    "marks": [{"label": "A", "measure": "x"}]})
+_NO_INTERVAL = dict(_ONE_CELL, cells=[], grid={"time_points": [0.0],
+                                              "marks": [{"label": "A", "measure": 0.5}]})
 
 _BAD_CONFIGS = {
     "unknown-law": ({}, {"check": "matrix_sum", "law": "cauchy"}),
@@ -107,6 +109,7 @@ _BAD_CONFIGS = {
     "kahane-empty-p": ({}, {"check": "kahane", "p": []}),
     "symmetrization-zero-instances": ({}, {"check": "symmetrization", "instances": 0}),
     "kahane-list-norm-exp": ({}, {"check": "kahane", "norm_exp": [2.0, 3.0]}),
+    "kahane-norm-exp-below-1": ({}, {"check": "kahane", "norm_exp": 0.5}),
     "kahane-negative-p": ({}, {"check": "kahane", "p": -1}),
     "kahane-q-below-1": ({}, {"check": "kahane", "q": 0.5}),
     "string-eps": ({}, {"check": "poisson_moment_bounds", "eps": "x"}),
@@ -126,6 +129,7 @@ _BAD_CONFIGS = {
     "unrefined-family": ({}, {"check": "ito_isomorphism", "family": [_UNREFINED]}),
     "cell-outside-grid": ({}, {"check": "decoupling", "process": _CELL_OUTSIDE}),
     "string-measure": ({}, {"check": "decoupling", "process": _MEASURE_X}),
+    "grid-without-interval": ({}, {"check": "doob", "process": _NO_INTERVAL}),
     "string-seed": ({"seed": "abc"}, {"check": "seginer"}),
     "fractional-seed": ({"seed": 1.5}, {"check": "seginer"}),
     "string-record-runtime": ({"record_runtime": "no"}, {"check": "seginer"}),
@@ -230,7 +234,7 @@ def test_deterministic_csv_bytes(tmp_path):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
-@pytest.mark.parametrize("workload", ["suite", "enumerate", "sampled"])
+@pytest.mark.parametrize("workload", ["suite", "sumnorm", "enumerate", "sampled"])
 def test_default_suite_csv_is_byte_identical_to_reference(tmp_path, workload):
     # the benchmark's reference digests at the default seed: `itolab suite
     # --out`, and the exact and Monte Carlo randmat workloads through --config;
@@ -286,6 +290,34 @@ def test_hoffmann_jorgensen_overflow_has_no_nan():
         assert r.status == "report-only"
         if not (math.isfinite(r.lhs) and math.isfinite(r.rhs)):
             assert "not finite" in r.details["note"]
+
+
+@pytest.mark.parametrize("a", [0.0, 1e-200], ids=["zero", "underflow"])
+def test_latala_zero_terms_exit_0(tmp_path, capsys, a):
+    # a zero entry law, or one whose second and fourth moments underflow,
+    # has a zero terms sum: its ratios are 0 or inf, not a ZeroDivisionError
+    cfg = tmp_path / "latala.json"
+    cfg.write_text(json.dumps({"version": 1, "checks": [
+        {"check": "latala", "law": {"two_atom": {"a": a, "prob": 0.5}}}]}))
+    assert main(["suite", "--config", str(cfg)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_doob_integrates_the_last_interval_of_a_long_grid(tmp_path):
+    # the final time 1000000001 lies within math.isclose of the breakpoint
+    # 1e9; the only nonzero cell is on the last interval, so the integral is
+    # N - 0.5 with N Poisson(0.5), and neither side of the row is 0
+    cfg = tmp_path / "doob.json"
+    cfg.write_text(json.dumps({"version": 1, "seed": 1, "checks": [{
+        "check": "doob", "p": 2, "q": 2, "n_samples": 2000, "process": {
+            "grid": {"time_points": [0, 1e9, 1000000001],
+                     "marks": [{"label": "A", "measure": 0.5}]},
+            "cells": [{"i": 1, "j": 0, "value": [1.0]}]}}]}))
+    out = tmp_path / "doob.json.out"
+    assert main(["suite", "--config", str(cfg), "--out", str(out), "--format", "json"]) == 0
+    (row,) = json.loads(out.read_text())
+    assert row["lhs"] == pytest.approx(math.sqrt(0.5), rel=0.05)
+    assert row["rhs"] == pytest.approx(2 * row["lhs"], rel=1e-12)
 
 
 _NAN_PRONE = {"rosenthal_positive": {"check": "rosenthal_positive", "p": 1e308},

@@ -8,6 +8,7 @@ import pytest
 
 from itolab.lq import LqElement, batch_norm_q, point_space, uniform_space
 from itolab.poisson import GridPartition
+from itolab.normfuncs import norm_atom
 from itolab.prob import exact_moment, philox, centered_poisson_moment
 from itolab.integrator import (SimpleAdaptedProcess, _process_tables, build_exact_model,
                                decoupling_difference_sequence, deterministic_process,
@@ -23,33 +24,33 @@ def one_cell(lam=0.4, value=2.0):
     return single_cell_process(lam, np.array([value]), ES)
 
 
+def atom_norm(F, name, p, q):
+    """One process-norm atom (S, S_c, S_r, D_qq or D_pq) of F over its grid."""
+    lam, probs, y = _process_tables(F, None)
+    weights = F.elem_space.weights if F.elem_space is not None else None
+    return norm_atom(name, p, q, probs, weights, lam).value(y)
+
+
 def test_integrate_zero_process():
     grid = GridPartition(np.array([0.0, 1.0]), ("A",), np.array([0.5]))
     F = SimpleAdaptedProcess(grid, {}, ES, (1,))
-    assert np.allclose(integrate_exact(build_exact_model(F, eps=1e-8), 1.0).values, 0.0)
+    assert np.allclose(integrate_exact(build_exact_model(F, eps=1e-8)).values, 0.0)
 
 
 def test_integrate_single_cell_is_scaled_count():
     F = one_cell()
     model = build_exact_model(F, eps=1e-8)
-    got = integrate_exact(model, 1.0)
+    got = integrate_exact(model)
     assert got.values[:, 0] == pytest.approx(2.0 * (model.counts[0] - 0.4))
-
-
-def test_integrate_restriction_to_marks():
-    grid = GridPartition(np.array([0.0, 1.0]), ("A", "B"), np.array([0.5, 0.5]))
-    cells = {(0, 0): np.array([1.0]), (0, 1): np.array([10.0])}
-    F = deterministic_process(grid, cells, ES)
-    model = build_exact_model(F, eps=1e-8)
-    only_a = integrate_exact(model, 1.0, B={"A"})
-    assert only_a.values[:, 0] == pytest.approx(model.counts[0] - 0.5)
 
 
 def test_exact_martingale_mean_zero():
     F = two_stage_adapted_process(0.5, 0.4, np.array([1.0]), bump=0.7, elem_space=ES)
-    model = build_exact_model(F, eps=1e-12)
-    for t in (F.grid.time_points[1], F.grid.time_points[2]):
-        I = integrate_exact(model, float(t))
+    # the integral up to the first breakpoint is F's on the grid cut there
+    cut = GridPartition(F.grid.time_points[:2], F.grid.j_labels, F.grid.j_measures)
+    first = SimpleAdaptedProcess(cut, {(0, 0): F.coefficients[(0, 0)]}, ES, F.elem_shape)
+    for G in (first, F):
+        I = integrate_exact(build_exact_model(G, eps=1e-12))
         bias = abs(I.mean().values[0])
         assert bias <= 1e-9
 
@@ -58,7 +59,7 @@ def test_exact_moment_matches_poisson_series():
     lam, x = 0.7, 1.5
     F = one_cell(lam, x)
     model = build_exact_model(F, eps=1e-13)
-    I = integrate_exact(model, 1.0)
+    I = integrate_exact(model)
     for p in (2.0, 3.0):
         got = exact_moment(I, p, 2.0)
         target = x * centered_poisson_moment(p, lam) ** (1 / p)
@@ -68,30 +69,22 @@ def test_exact_moment_matches_poisson_series():
 def test_decoupled_deterministic_same_moments():
     F = multi_cell_process([0.3, 0.6], [np.array([1.0]), np.array([-2.0])], ES)
     model = build_exact_model(F, eps=1e-11, decoupled=True)
-    t = float(F.grid.time_points[-1])
     for p, q in [(2.0, 2.0), (3.0, 2.0), (4.0, 3.0)]:
-        coupled = exact_moment(integrate_exact(model, t), p, q)
-        dec = exact_moment(integrate_exact(model, t, use_copy=True), p, q)
+        coupled = exact_moment(integrate_exact(model), p, q)
+        dec = exact_moment(integrate_exact(model, use_copy=True), p, q)
         assert coupled == pytest.approx(dec, rel=1e-12)
 
 
 def test_decoupled_zero_process():
     grid = GridPartition(np.array([0.0, 1.0]), ("A",), np.array([0.5]))
     F = SimpleAdaptedProcess(grid, {}, ES, (1,))
-    I = integrate_exact(build_exact_model(F, 1e-8, decoupled=True), 1.0, use_copy=True)
+    I = integrate_exact(build_exact_model(F, 1e-8, decoupled=True), use_copy=True)
     assert np.allclose(I.values, 0.0)
-
-
-def test_exact_mode_requires_breakpoint():
-    F = one_cell()
-    model = build_exact_model(F, eps=1e-8)
-    with pytest.raises(Exception):
-        integrate_exact(model, 0.3)
 
 
 def test_running_max_single_cell_sup_is_terminal():
     F = one_cell(0.5, 1.0)
-    res = running_max_moment(F, 1.0, None, 3.0, 2.0, n_samples=500, seed=4)
+    res = running_max_moment(F, 3.0, 2.0, n_samples=500, seed=4)
     assert res["estimate"] == pytest.approx(res["terminal"], rel=1e-12)
 
 
@@ -99,8 +92,7 @@ def test_running_max_doob_domination():
     F = multi_cell_process([0.5, 0.8, 0.3], [np.array([1.0]), np.array([-1.5]),
                                              np.array([2.0])], ES)
     p = 3.0
-    res = running_max_moment(F, float(F.grid.time_points[-1]), None, p, 2.0,
-                             n_samples=4000, seed=8)
+    res = running_max_moment(F, p, 2.0, n_samples=4000, seed=8)
     p_prime = p / (p - 1)
     widen = 3 * (res["ci_half"] + p_prime * res["terminal_ci_half"])
     assert res["estimate"] <= p_prime * res["terminal"] + widen
@@ -109,30 +101,27 @@ def test_running_max_doob_domination():
 def test_running_max_zero_process():
     grid = GridPartition(np.array([0.0, 1.0]), ("A",), np.array([0.5]))
     F = SimpleAdaptedProcess(grid, {}, ES, (1,))
-    res = running_max_moment(F, 1.0, None, 2.0, 2.0, n_samples=100, seed=1)
+    res = running_max_moment(F, 2.0, 2.0, n_samples=100, seed=1)
     assert res["estimate"] == 0.0
 
 
 def test_process_norm_single_cell_formulas():
     lam, x, p, q = 0.36, 1.7, 4.0, 2.5
     F = single_cell_process(lam, np.array([x]), ES)
-    assert process_norm(F, 1.0, None, p, q, "S") == pytest.approx(
-        x * lam ** 0.5, rel=1e-12)
-    assert process_norm(F, 1.0, None, p, q, "D_qq") == pytest.approx(
-        x * lam ** (1 / q), rel=1e-12)
-    assert process_norm(F, 1.0, None, p, q, "D_pq") == pytest.approx(
-        x * lam ** (1 / p), rel=1e-12)
+    assert atom_norm(F, "S", p, q) == pytest.approx(x * lam ** 0.5, rel=1e-12)
+    assert atom_norm(F, "D_qq", p, q) == pytest.approx(x * lam ** (1 / q), rel=1e-12)
+    assert atom_norm(F, "D_pq", p, q) == pytest.approx(x * lam ** (1 / p), rel=1e-12)
 
 
 def test_process_norm_zero_and_homogeneity():
     F = multi_cell_process([0.2, 0.5], [np.array([1.0]), np.array([2.0])], ES)
     zero = F.scaled(0.0)
-    for which in ("S", "D_qq", "D_pq", "I_regime"):
-        assert process_norm(zero, 1.0, None, 3.0, 2.0, which) == 0.0
+    assert process_norm(zero, 3.0, 2.0) == 0.0
     c = 4.0
     for which in ("S", "D_qq", "D_pq"):
-        v1 = process_norm(F, 1.0, None, 3.0, 2.0, which)
-        v2 = process_norm(F.scaled(c), 1.0, None, 3.0, 2.0, which)
+        assert atom_norm(zero, which, 3.0, 2.0) == 0.0
+        v1 = atom_norm(F, which, 3.0, 2.0)
+        v2 = atom_norm(F.scaled(c), which, 3.0, 2.0)
         assert v2 == pytest.approx(c * v1, rel=1e-12)
 
 
@@ -141,8 +130,8 @@ def test_process_norm_matrix_sides():
     e12 = np.zeros((2, 2), dtype=complex)
     e12[0, 1] = 1.0
     F = deterministic_process(grid, {(0, 0): e12})
-    s_c = process_norm(F, 1.0, None, 2.0, 3.0, "S_c")
-    s_r = process_norm(F, 1.0, None, 2.0, 3.0, "S_r")
+    s_c = atom_norm(F, "S_c", 2.0, 3.0)
+    s_r = atom_norm(F, "S_r", 2.0, 3.0)
     assert s_c == pytest.approx(math.sqrt(0.5), rel=1e-12)
     assert s_r == pytest.approx(math.sqrt(0.5), rel=1e-12)
 
@@ -153,7 +142,7 @@ def test_refinement_leaves_integrals_and_norms_unchanged():
     F_fine = deterministic_process(
         fine_grid, {(i, 0): np.array([1.3]) for i in range(fine_grid.n_intervals)}, ES)
     for which in ("S", "D_qq", "D_pq"):
-        a = process_norm(F_fine, 2.0, None, 3.0, 2.0, which)
+        a = atom_norm(F_fine, which, 3.0, 2.0)
         # the unrefined grid has lam = 2 > 1; compute its formula directly
         lam = 2.0
         expo = {"S": 0.5, "D_qq": 1 / 2.0, "D_pq": 1 / 3.0}[which]
@@ -202,7 +191,7 @@ def test_process_norm_requires_refined_grid():
     grid = GridPartition(np.array([0.0, 3.0]), ("A",), np.array([1.0]))
     F = deterministic_process(grid, {(0, 0): np.array([1.0])}, ES)
     with pytest.raises(Exception):
-        process_norm(F, 3.0, None, 2.0, 2.0, "S")
+        process_norm(F, 2.0, 2.0)
 
 
 def test_decoupled_integral_equals_alternating_interleaving():
@@ -215,15 +204,14 @@ def test_decoupled_integral_equals_alternating_interleaving():
     M = [model.counts[k] - lam[k, 0] for k in range(2)]
     Mc = [model.counts_c[k] - lam[k, 0] for k in range(2)]
     res = decoupling_difference_sequence(G, M, Mc)
-    t = float(F.grid.time_points[-1])
-    dec = integrate_exact(model, t, use_copy=True)
+    dec = integrate_exact(model, use_copy=True)
     assert np.allclose(res["alternating"], dec.values[:, 0], atol=1e-13)
-    coup = integrate_exact(model, t)
+    coup = integrate_exact(model)
     assert np.allclose(res["sum"], coup.values[:, 0], atol=1e-13)
 
 
 # -- reference copies of the integral paths before the shared coefficient
-# table and window sum; the current paths must agree with them bit for bit
+# table and running sum; the current paths must agree with them bit for bit
 
 
 def _ref_coefficient_at(F, i, j, counts_before):
@@ -233,49 +221,28 @@ def _ref_coefficient_at(F, i, j, counts_before):
     return c if isinstance(c, LqElement) else c(counts_before)
 
 
-def _ref_window_cells(grid, t, B):
-    marks = list(range(grid.n_marks)) if B is None else sorted(grid.mark_index(b) for b in B)
-    out = []
-    for i in range(grid.n_intervals):
-        a, b = grid.time_points[i], grid.time_points[i + 1]
-        if t <= a:
-            break
-        clip = min(b, t) - a
-        for j in marks:
-            out.append((i, j, clip))
-    return out
-
-
-def _ref_integrate_exact(model, t, B=None, use_copy=False):
-    grid = model.process.grid
-    assert any(math.isclose(t, tp) for tp in grid.time_points[1:])
+def _ref_integrate_exact(model, use_copy=False):
     counts = model.counts_c if use_copy else model.counts
-    lam = grid.intensities
-    window = {(i, j) for i, j, _ in _ref_window_cells(grid, t, B)}
+    lam = model.process.grid.intensities
     elem_axes = (slice(None),) + (None,) * len(model.process.elem_shape)
     total = np.zeros((model.space.n_atoms,) + tuple(model.process.elem_shape), dtype=complex)
     for k, (i, j) in enumerate(model.cell_order):
-        if (i, j) not in window:
-            continue
         comp = (counts[k] - lam[i, j])[elem_axes]
         total = total + model.y[k] * comp
     return total
 
 
-def _ref_sample_paths(F, t, B, q, n_samples, seed, stream=0):
+def _ref_sample_paths(F, q, n_samples, seed, stream=0):
     grid = F.grid
     gen = philox(seed, stream)
     lam = grid.intensities
     counts = gen.poisson(lam, size=(n_samples,) + lam.shape)
-    breaks = [tp for tp in grid.time_points[1:] if tp <= t + 1e-12]
-    marks = list(range(grid.n_marks)) if B is None else sorted(grid.mark_index(b) for b in B)
     weights = F.elem_space.weights if F.elem_space is not None else None
     det = F.is_deterministic
-    norms = np.zeros((n_samples, len(breaks)))
+    norms = np.zeros((n_samples, grid.n_intervals))
     partial = np.zeros((n_samples,) + tuple(F.elem_shape), dtype=complex)
-    for i_prefix, s in enumerate(breaks):
-        i = i_prefix
-        for j in marks:
+    for i in range(grid.n_intervals):
+        for j in range(grid.n_marks):
             c = F.coefficients.get((i, j))
             if c is None:
                 continue
@@ -289,23 +256,24 @@ def _ref_sample_paths(F, t, B, q, n_samples, seed, stream=0):
                           for ii in range(i) for jj in range(grid.n_marks)}
                     y = _ref_coefficient_at(F, i, j, cb)
                     partial[sidx] = partial[sidx] + y.values * comp[sidx]
-        norms[:, i_prefix] = batch_norm_q(partial, q, weights)
+        norms[:, i] = batch_norm_q(partial, q, weights)
     return norms
 
 
-def _ref_process_tables(F, t, B, model):
+def _ref_process_tables(F, model):
     grid = F.grid
-    window = _ref_window_cells(grid, t, B)
-    lam = np.array([clip * grid.j_measures[j] for _, j, clip in window])
+    cells = grid.cells()
+    lam = np.array([(grid.time_points[i + 1] - grid.time_points[i]) * grid.j_measures[j]
+                    for i, j in cells])
     if F.is_deterministic:
-        y = np.zeros((len(window), 1) + tuple(F.elem_shape), dtype=complex)
-        for k, (i, j, _) in enumerate(window):
-            c = F.coefficients.get((i, j))
+        y = np.zeros((len(cells), 1) + tuple(F.elem_shape), dtype=complex)
+        for k, cell in enumerate(cells):
+            c = F.coefficients.get(cell)
             if c is not None:
                 y[k, 0] = c.values
         return lam, np.ones(1), y
     idx = {cell: k for k, cell in enumerate(model.cell_order)}
-    return lam, model.space.probs, np.stack([model.y[idx[(i, j)]] for (i, j, _) in window])
+    return lam, model.space.probs, np.stack([model.y[idx[cell]] for cell in cells])
 
 
 def _assert_bits(a, b):
@@ -346,16 +314,6 @@ _PROCESSES = {
 }
 
 
-def _mark_sets(F):
-    labels = F.grid.j_labels
-    both = [set(labels)] if len(labels) > 1 else []
-    return [None] + [{lab} for lab in labels] + [set()] + both
-
-
-def _breaks(F):
-    return [float(tp) for tp in F.grid.time_points[1:]]
-
-
 @pytest.mark.parametrize("name", sorted(_PROCESSES))
 def test_exact_model_and_integrals_match_reference_bits(name):
     F = _PROCESSES[name]
@@ -366,52 +324,24 @@ def test_exact_model_and_integrals_match_reference_bits(name):
             cb = {model.cell_order[kk]: int(model.counts[kk, a])
                   for kk in range(len(model.cell_order)) if model.cell_order[kk][0] < i}
             _assert_bits(model.y[k, a], _ref_coefficient_at(F, i, j, cb).values)
-    for B in _mark_sets(F):
-        for t in _breaks(F):
-            for use_copy in (False, True):
-                got = integrate_exact(model, t, B, use_copy=use_copy)
-                _assert_bits(got.values, _ref_integrate_exact(model, t, B, use_copy))
-                if B == set():
-                    assert not np.any(got.values)
+    for use_copy in (False, True):
+        got = integrate_exact(model, use_copy=use_copy)
+        _assert_bits(got.values, _ref_integrate_exact(model, use_copy))
 
 
 @pytest.mark.parametrize("name", sorted(_PROCESSES))
 def test_sample_paths_match_reference_bits(name):
     F = _PROCESSES[name]
-    for B in _mark_sets(F):
-        for t in _breaks(F):
-            got = sample_paths(F, t, B, 2.5, 150, seed=4, stream=3)
-            _assert_bits(got, _ref_sample_paths(F, t, B, 2.5, 150, seed=4, stream=3))
-            if B == set():
-                assert not np.any(got)
+    _assert_bits(sample_paths(F, 2.5, 150, seed=4, stream=3),
+                 _ref_sample_paths(F, 2.5, 150, seed=4, stream=3))
 
 
 @pytest.mark.parametrize("name", sorted(_PROCESSES))
 def test_process_tables_match_reference_bits(name):
     F = _PROCESSES[name]
     model = None if F.is_deterministic else build_exact_model(F, eps=1e-4)
-    tp = F.grid.time_points
-    for B in _mark_sets(F):
-        for t in _breaks(F) + [float(0.5 * (tp[0] + tp[1]))]:
-            got = _process_tables(F, t, B, model)
-            if B == set() and model is not None:
-                # the reference stacked an empty list and raised ValueError
-                assert got[2].shape == (0,) + model.y.shape[1:]
-                continue
-            for a, b in zip(got, _ref_process_tables(F, t, B, model)):
-                _assert_bits(a, b)
-
-
-def test_breakpoint_just_above_is_snapped():
-    F = multi_cell_process([0.3, 0.7], [np.array([1.0]), np.array([-0.5])], ES)
-    model = build_exact_model(F, eps=1e-12)
-    t1 = float(F.grid.time_points[1])
-    above = t1 * (1 + 1e-12)
-    at, near = integrate_exact(model, t1), integrate_exact(model, above)
-    _assert_bits(near.values, at.values)
-    assert exact_moment(near, 2.0, 2.0) == pytest.approx(math.sqrt(0.3), rel=1e-9)
-    _assert_bits(sample_paths(F, above, None, 2.0, 50, seed=1),
-                 sample_paths(F, t1, None, 2.0, 50, seed=1))
+    for a, b in zip(_process_tables(F, model), _ref_process_tables(F, model)):
+        _assert_bits(a, b)
 
 
 def test_ito_sweep_script_rows(monkeypatch, capsys):

@@ -26,7 +26,11 @@ def test_product_two_coins():
     prod = product_space([coin(), coin()])
     assert prod.n_atoms == 4
     assert np.allclose(prod.probs, 0.25)
-    assert set(prod.atoms) == {("h", "h"), ("h", "t"), ("t", "h"), ("t", "t")}
+    # atoms are indices in C order; factor_indices maps them to the coins
+    assert prod.atoms == (0, 1, 2, 3)
+    labels = [(coin().atoms[a], coin().atoms[b])
+              for a, b in zip(prod.factor_indices(0), prod.factor_indices(1))]
+    assert labels == [("h", "h"), ("h", "t"), ("t", "h"), ("t", "t")]
 
 
 def test_product_with_one_atom_space():
