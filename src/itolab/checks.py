@@ -16,7 +16,7 @@ import numpy as np
 
 from . import integrator
 from .lq import InvalidInputError, LqElement, batch_norm_q, conjugate_exponent
-from .prob import BudgetExceededError, exact_moment, moment_ci, sign_matrix
+from .prob import BudgetExceededError, exact_moment, moment_ci, power_mean, sign_matrix
 from .report import (CONFIGURED, EXPLICIT, FAIL, MEASURED, NOT_FINITE, PASS,
                      REPORT_ONLY, CheckReport)
 from .seqnorms import (LqSequence, composite_norm, norm_D, norm_S, regime_select,
@@ -112,21 +112,25 @@ DEFAULT_TABLE = ConstantTable()
 # -- shared kernels ------------------------------------------------------------
 
 
+def _sign_sum_norms(seq: LqSequence, q: float) -> np.ndarray:
+    """||sum_i r_i f_i||_q per sign pattern (rows) and atom (columns)."""
+    n = seq.n_items
+    if n > 24:
+        raise InvalidInputError("sign enumeration capped at n = 24")
+    sums = np.tensordot(sign_matrix(n), seq.values, axes=(1, 0))  # (2^n, atoms, *elem)
+    weights = seq.elem_space.weights if seq.elem_space is not None else None
+    return batch_norm_q(sums, q, weights)
+
+
 def rademacher_sum_moment(xs: list[LqElement], p: float, q: float) -> float:
     """Exact (E || sum_i r_i x_i ||_q^p)^(1/p) over all sign patterns."""
-    return randomized_sum_moment(LqSequence.deterministic(xs), p, q)
+    norms = _sign_sum_norms(LqSequence.deterministic(xs), q)[:, 0]
+    return power_mean(norms, np.full(len(norms), 1.0 / len(norms)), p)
 
 
 def randomized_sum_moment(seq: LqSequence, p: float, q: float) -> float:
     """(E_r E || sum_i r_i f_i ||_q^p)^(1/p), exact in both layers."""
-    n = seq.n_items
-    if n > 24:
-        raise InvalidInputError("sign enumeration capped at n = 24")
-    signs = sign_matrix(n)
-    sums = np.tensordot(signs, seq.values, axes=(1, 0))  # (2^n, atoms, *elem)
-    weights = seq.elem_space.weights if seq.elem_space is not None else None
-    norms = batch_norm_q(sums, q, weights)
-    pw = (norms ** p) @ seq.space.probs
+    pw = (_sign_sum_norms(seq, q) ** p) @ seq.space.probs
     return float(pw.mean() ** (1.0 / p))
 
 
@@ -136,13 +140,6 @@ def little_rosenthal_term(seq: LqSequence, p: float, q: float) -> float:
     norms = batch_norm_q(seq.values, q, weights)       # (items, atoms)
     inner = (norms ** q).sum(axis=0)
     return float(((inner ** (p / q)) @ seq.space.probs) ** (1.0 / p))
-
-
-def max_item_moment(seq: LqSequence, p: float, q: float) -> float:
-    """(E max_i ||f_i||_q^p)^(1/p)."""
-    weights = seq.elem_space.weights if seq.elem_space is not None else None
-    norms = batch_norm_q(seq.values, q, weights)
-    return float(((norms.max(axis=0) ** p) @ seq.space.probs) ** (1.0 / p))
 
 
 def relative_slack(tolerance: float, details: dict, *sides: float,
@@ -263,8 +260,7 @@ def check_rosenthal_positive(seq: LqSequence, p: float, *,
     vals = seq.values
     if float(np.abs(vals.imag).max()) > 0 or float(vals.real.min()) < 0:
         raise InvalidInputError("items must be nonnegative")
-    total = vals.real.sum(axis=0)[:, 0]
-    moment = float(((total ** p) @ seq.space.probs) ** (1.0 / p))
+    moment = power_mean(vals.real.sum(axis=0)[:, 0], seq.space.probs, p)
     term_p = norm_D(seq, p, 2.0)
     term_1 = float((vals.real.sum(axis=0)[:, 0] @ seq.space.probs))
     rhs = max(term_p, term_1)
@@ -281,7 +277,9 @@ def check_hoffmann_jorgensen(seq: LqSequence, p: float, q: float, *,
     _require_mean_zero(seq)
     lhs = exact_moment(seq.sum_variable(), p, q)
     first = exact_moment(seq.sum_variable(), 1.0, q)
-    max_term = max_item_moment(seq, p, q)
+    weights = seq.elem_space.weights if seq.elem_space is not None else None
+    max_term = power_mean(batch_norm_q(seq.values, q, weights).max(axis=0),
+                          seq.space.probs, p)
     shape = hj_shape(p)
     denom = shape * (first + max_term)
     if lhs == 0 and denom == 0:

@@ -160,7 +160,6 @@ class ExactModel:
 
     process: SimpleAdaptedProcess
     space: ProductSpace
-    cell_order: list
     counts: np.ndarray
     y: np.ndarray
     truncation_tail: float
@@ -185,7 +184,7 @@ def build_exact_model(F: SimpleAdaptedProcess, eps: float = 1e-10,
     counts, counts_c = counts[:n_cells], (counts[n_cells:] if decoupled else None)
     y = _coefficient_table(F, cell_order, counts)
     tail = sum(tp.tail_bound for tp in tps)
-    return ExactModel(F, prod, cell_order, counts, y, tail, counts_c)
+    return ExactModel(F, prod, counts, y, tail, counts_c)
 
 
 def integrate_exact(model: ExactModel, use_copy: bool = False) -> RandomLqVariable:

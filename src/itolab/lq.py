@@ -94,35 +94,11 @@ class LqElement:
         v.setflags(write=False)
 
     @property
-    def kind(self) -> str:
-        return "commutative" if self.space is not None else "matrix"
-
-    @property
     def shape(self) -> tuple:
         return self.values.shape
 
-    def __add__(self, other: "LqElement") -> "LqElement":
-        _check_compatible(self, other)
-        return LqElement(self.values + other.values, self.space)
-
-    def __sub__(self, other: "LqElement") -> "LqElement":
-        _check_compatible(self, other)
-        return LqElement(self.values - other.values, self.space)
-
     def __mul__(self, c: complex) -> "LqElement":
         return LqElement(self.values * c, self.space)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "LqElement":
-        return LqElement(-self.values, self.space)
-
-
-def _check_compatible(x: LqElement, y: LqElement):
-    if x.kind != y.kind or x.shape != y.shape:
-        raise InvalidInputError("elements have mismatched kind or shape")
-    if x.kind == "commutative" and x.space is not y.space and x.space != y.space:
-        raise InvalidInputError("elements live on different measure spaces")
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lq import FiniteMeasureSpace, InvalidInputError, LqElement, batch_norm_q
+from .lq import FiniteMeasureSpace, InvalidInputError, batch_norm_q
 
 PROB_TOL = 1e-12
 DEFAULT_ATOM_BUDGET = 10 ** 7
@@ -58,11 +58,6 @@ class FiniteProbabilitySpace:
     @property
     def n_atoms(self) -> int:
         return len(self.atoms)
-
-    def expectation(self, values: np.ndarray) -> np.ndarray:
-        """E f where values has one row per atom (leading axis)."""
-        v = np.asarray(values)
-        return np.tensordot(self.probs, v, axes=(0, 0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,25 +120,8 @@ class RandomLqVariable:
         v.setflags(write=False)
 
     @property
-    def kind(self) -> str:
-        return "commutative" if self.elem_space is not None else "matrix"
-
-    @property
     def elem_shape(self) -> tuple:
         return self.values.shape[1:]
-
-    def mean(self) -> LqElement:
-        return LqElement(self.space.expectation(self.values), self.elem_space)
-
-    def __add__(self, other: "RandomLqVariable") -> "RandomLqVariable":
-        if self.space is not other.space and self.space != other.space:
-            raise InvalidInputError("variables live on different spaces")
-        return RandomLqVariable(self.space, self.values + other.values, self.elem_space)
-
-    def __mul__(self, c: complex) -> "RandomLqVariable":
-        return RandomLqVariable(self.space, self.values * c, self.elem_space)
-
-    __rmul__ = __mul__
 
     def lift(self, product: ProductSpace, factor_index: int) -> "RandomLqVariable":
         """View this factor variable as a variable on the product space."""
@@ -158,25 +136,53 @@ def independent_product(variables: list[RandomLqVariable]) -> tuple[ProductSpace
     return prod, [v.lift(prod, k) for k, v in enumerate(variables)]
 
 
+def _normal(x: float) -> bool:
+    """x is a finite positive float that has not lost bits to underflow."""
+    return np.finfo(float).tiny <= x < math.inf
+
+
+def power_mean(values: np.ndarray, probs: np.ndarray, p: float) -> float:
+    """(sum_k probs_k values_k^p)^(1/p) of a finite law of values >= 0.
+
+    Where that sum overflows, underflows or is NaN, the values are divided by
+    the largest one before the power, so a large p gives a finite mean; every
+    other law gets the plain expression's bits.
+    """
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        total = (probs * values ** p).sum()
+        top = values.max()
+        if not _normal(total) and 0 < top < math.inf:
+            return float(top * (probs * (values / top) ** p).sum() ** (1.0 / p))
+    return float(total ** (1.0 / p))
+
+
 def exact_moment(X: RandomLqVariable, p: float, q: float) -> float:
     """(E ||X||_q^p)^(1/p) by exact enumeration over the atoms."""
     weights = X.elem_space.weights if X.elem_space is not None else None
-    norms = batch_norm_q(X.values, q, weights)
-    return float((X.space.probs * norms ** p).sum() ** (1.0 / p))
+    return power_mean(batch_norm_q(X.values, q, weights), X.space.probs, p)
 
 
 def moment_ci(samples: np.ndarray, p: float) -> tuple[float, float]:
     """Monte Carlo (E X^p)^(1/p) from samples of X >= 0, with the delta-method
-    1-sigma half-width: the p-th roots of mean +- standard error of X^p."""
-    pw = samples ** p
-    n = len(pw)
+    1-sigma half-width: the p-th roots of mean +- standard error of X^p.
+    Where the mean of X^p overflows, underflows or is NaN, or its deviation
+    overflows, X is first divided by its largest sample, as in
+    ``power_mean``."""
+    n = len(samples)
     if n < 2:
         raise InvalidInputError(f"a moment CI needs at least 2 samples, got {n}")
-    m = float(pw.mean())
-    sd = float(pw.std(ddof=1)) / math.sqrt(n)
-    est = m ** (1.0 / p)
-    lo = max(m - sd, 0.0) ** (1.0 / p)
-    hi = (m + sd) ** (1.0 / p)
+    top = 1.0
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        pw = samples ** p
+        m, sd = float(pw.mean()), float(pw.std(ddof=1))
+        if not (_normal(m) and sd < math.inf) and 0 < samples.max() < math.inf:
+            top = float(samples.max())
+            pw = (samples / top) ** p
+            m, sd = float(pw.mean()), float(pw.std(ddof=1))
+    sd /= math.sqrt(n)
+    est = top * m ** (1.0 / p)
+    lo = top * max(m - sd, 0.0) ** (1.0 / p)
+    hi = top * (m + sd) ** (1.0 / p)
     return est, (hi - lo) / 2.0
 
 
@@ -187,21 +193,17 @@ def moment_ci(samples: np.ndarray, p: float) -> tuple[float, float]:
 class TruncatedPoisson:
     """Poisson(lambda) truncated to [0, cutoff], renormalized.
 
-    ``tail_bound`` is the discarded mass; ``renormalized`` records that the
-    retained probabilities were rescaled to sum to one.
+    ``tail_bound`` is the discarded mass; the retained probabilities are
+    rescaled to sum to one.
     """
 
     lam: float
     cutoff: int
     probs: np.ndarray
     tail_bound: float
-    renormalized: bool = True
 
     def space(self) -> FiniteProbabilitySpace:
         return FiniteProbabilitySpace(tuple(range(self.cutoff + 1)), self.probs)
-
-    def mean(self) -> float:
-        return float((np.arange(self.cutoff + 1) * self.probs).sum())
 
 
 def truncated_poisson(lam: float, eps: float) -> TruncatedPoisson:
@@ -211,7 +213,7 @@ def truncated_poisson(lam: float, eps: float) -> TruncatedPoisson:
     if not (0 < eps < 1):
         raise InvalidInputError("eps must lie in (0, 1)")
     if lam == 0:
-        return TruncatedPoisson(0.0, 0, np.array([1.0]), 0.0, renormalized=False)
+        return TruncatedPoisson(0.0, 0, np.array([1.0]), 0.0)
     term = math.exp(-lam)
     cum = term
     terms = [term]

@@ -15,7 +15,8 @@ rank-one extremal ensemble are recorded report-only for comparison.
 Exact enumeration is used when the total entry-configuration count is at
 most 2^22, otherwise Monte Carlo with CI-widened thresholds.  Either way an
 ensemble's operator-norm law (sum and largest-summand norms per configuration
-with its probability, or per draw) is computed once; each moment reduces it.
+with its probability, or per draw) is computed once; each moment reduces it
+with ``prob.power_mean`` or ``prob.moment_ci``.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 
 from .lq import InvalidInputError
 from .checks import ConstantTable, DEFAULT_TABLE, c_pd, relative_slack
-from .prob import categorical, moment_ci, philox
+from .prob import categorical, moment_ci, philox, power_mean
 from .report import (CONFIGURED, EXPLICIT, FAIL, MEASURED, PASS, REPORT_ONLY,
                      CheckReport)
 
@@ -163,12 +164,12 @@ _last_law: dict = {}  # content key -> the last law _norm_law built
 
 
 def _norm_law(ens: MatrixEnsemble, n_samples: int | None = None, seed: int = 0,
-              stream: int = 0) -> list:
-    """Chunks (sum operator norm, largest summand norm, probabilities) over
-    every entry configuration in enumeration order when ``n_samples`` is None,
-    else one chunk of draws from Philox (seed, stream) with probabilities
-    None.  Keeps the last law built, keyed by what decides it: the shape, the
-    entry law, the scale pattern and, when sampled, (n_samples, seed, stream)."""
+              stream: int = 0) -> tuple:
+    """(sum operator norms, largest summand norms, probabilities) over every
+    entry configuration in enumeration order when ``n_samples`` is None, else
+    over draws from Philox (seed, stream) with probabilities None.  Keeps the
+    last law built, keyed by what decides it: the shape, the entry law, the
+    scale pattern and, when sampled, (n_samples, seed, stream)."""
     law, size = ens.law, (ens.n, ens.d1, ens.d2)
     atoms = None if law.atoms is None else (law.atoms.tobytes(), law.probs.tobytes())
     key = (size, law.name, atoms, ens.scale_matrix.tobytes(),
@@ -181,34 +182,20 @@ def _norm_law(ens: MatrixEnsemble, n_samples: int | None = None, seed: int = 0,
     if n_samples is None:
         na = len(law.atoms)
         digits = na ** np.arange(ens.entry_count())
-        chunks = []
+        top, emax, probs = np.empty(batch), np.empty(batch), np.empty(batch)
         for start in range(0, batch, _CHUNK):
-            config = (np.arange(start, min(start + _CHUNK, batch))[:, None] // digits) % na
+            part = slice(start, min(start + _CHUNK, batch))
+            config = (np.arange(part.start, part.stop)[:, None] // digits) % na
             vals = law.atoms[config].reshape(-1, *size) * ens.scale_matrix
-            chunks.append((*_law_chunk(ens, vals, config, table),
-                           law.probs[config].prod(axis=1)))
+            top[part], emax[part] = _law_chunk(ens, vals, config, table)
+            probs[part] = law.probs[config].prod(axis=1)
     else:
         gen, shape = philox(seed, stream), (n_samples, *size)
         idx = None if table is None else categorical(gen, law.probs, shape)
         vals = (law.sample(gen, shape) if idx is None else law.atoms[idx]) * ens.scale_matrix
-        chunks = [(*_law_chunk(ens, vals, idx, table), None)]
-    _last_law[key] = chunks
-    return chunks
-
-
-def _enumerate_stats(ens: MatrixEnsemble, p: float) -> tuple[float, float]:
-    """Exact ((E ||sum||^p)^(1/p), (E max_i ||xi_i||^p)^(1/p))."""
-    sum_pow = max_pow = 0.0
-    for top, emax, pr in _norm_law(ens):
-        sum_pow += float((pr * top ** p).sum())
-        max_pow += float((pr * emax ** p).sum())
-    return sum_pow ** (1.0 / p), max_pow ** (1.0 / p)
-
-
-def _sample_stats(ens: MatrixEnsemble, p: float, n_samples: int, seed: int, stream: int):
-    """Monte Carlo ((est, ci), (est, ci)) for the same two statistics."""
-    (top, emax, _), = _norm_law(ens, n_samples, seed, stream)
-    return moment_ci(top, p), moment_ci(emax, p)
+        (top, emax), probs = _law_chunk(ens, vals, idx, table), None
+    _last_law[key] = top, emax, probs
+    return top, emax, probs
 
 
 def _moments(ens: MatrixEnsemble, p: float, n_samples: int, seed: int, stream: int,
@@ -217,9 +204,10 @@ def _moments(ens: MatrixEnsemble, p: float, n_samples: int, seed: int, stream: i
     CI 0 where allowed and feasible, else from Philox (seed, stream) with CI
     half-widths widened to 3 sigma."""
     if exact and ens.exact_feasible():
-        lhs, emax = _enumerate_stats(ens, p)
-        return (lhs, 0.0), (emax, 0.0), False
-    (lhs, lhs_ci), (emax, emax_ci) = _sample_stats(ens, p, n_samples, seed, stream)
+        top, largest, probs = _norm_law(ens)
+        return (power_mean(top, probs, p), 0.0), (power_mean(largest, probs, p), 0.0), False
+    top, largest, _ = _norm_law(ens, n_samples, seed, stream)
+    (lhs, lhs_ci), (emax, emax_ci) = moment_ci(top, p), moment_ci(largest, p)
     return (lhs, lhs_ci * 3.0), (emax, emax_ci * 3.0), True
 
 
@@ -268,14 +256,10 @@ def _entry_max_moment(ens: MatrixEnsemble, p: float, n_samples: int, seed: int):
     if ens.law.is_discrete:
         support = [[(abs(a * s), pr) for a, pr in zip(ens.law.atoms, ens.law.probs)]
                    for s in scale.flat]
-        cdf_prev = total = 0.0
-        for v in sorted({v for pairs in support for v, _ in pairs}):
-            cdf = 1.0
-            for pairs in support:
-                cdf *= sum(pr for w, pr in pairs if w <= v)
-            total += v ** p * (cdf - cdf_prev)
-            cdf_prev = cdf
-        return total ** (1.0 / p), 0.0
+        values = np.array(sorted({v for pairs in support for v, _ in pairs}))
+        cdf = [math.prod(sum(pr for w, pr in pairs if w <= v) for pairs in support)
+               for v in values]
+        return power_mean(values, np.diff(cdf, prepend=0.0), p), 0.0
     gen = philox(seed, 77)
     vals = np.abs(ens.law.sample(gen, (n_samples, ens.d1, ens.d2)) * scale)
     return moment_ci(vals.reshape(n_samples, -1).max(axis=1), p)

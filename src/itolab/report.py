@@ -23,7 +23,8 @@ class CheckReport:
     ``status == "pass"`` certifies lhs <= constant * rhs + tolerance (for the
     declared direction); report-only rows record a measured ratio without a
     verdict and never fail a run.  A NaN number in ``details`` is dropped
-    and the row gets the ``NOT_FINITE`` note instead.
+    and the row gets the ``NOT_FINITE`` note instead; so does a row with an
+    infinite side.
     """
 
     check_id: str
@@ -43,7 +44,7 @@ class CheckReport:
     def __post_init__(self):
         kept = {k: v for k, v in self.details.items()
                 if not (isinstance(v, float) and math.isnan(v))}
-        if len(kept) < len(self.details):
+        if len(kept) < len(self.details) or math.inf in (abs(self.lhs), abs(self.rhs)):
             self.details = {**kept, "note": NOT_FINITE}
 
     def as_dict(self) -> dict:

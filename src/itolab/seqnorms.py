@@ -137,9 +137,6 @@ class RegimeSpec:
     mode: str
     tree: NormExpr
 
-    def label(self) -> str:
-        return f"case{self.case_id}:{self.tree.label()}"
-
 
 def regime_select(p: float, q: float, mode: str = "commutative") -> RegimeSpec:
     """The unique applicable regime; boundary ties take the first case in order.

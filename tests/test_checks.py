@@ -9,13 +9,14 @@ from itolab.checks import (ConstantTable, buchholz_even, c_pd, c_pq,
                            check_pq_ge2_equivalence, check_rosenthal_lq,
                            check_rosenthal_positive, check_rosenthal_scalar,
                            check_symmetrization, check_type_cotype, kahane_kappa,
-                           khintchine_upper)
+                           khintchine_upper, relative_slack)
 from itolab.instances import (bernoulli_sequence, multi_cell_process,
                               random_element, random_independent_sequence,
                               random_positive_sequence, single_cell_process,
                               two_stage_adapted_process)
 from itolab.lq import LqElement, point_space, uniform_space
 from itolab.prob import FiniteProbabilitySpace, RandomLqVariable, philox
+from itolab.report import NOT_FINITE, CheckReport
 from itolab.seqnorms import LqSequence
 
 ES = point_space()
@@ -417,3 +418,25 @@ def test_ito_isomorphism_zero_member_fails_without_nan(values):
     assert rep.status == "fail"
     assert rep.details["ratio_band"] == math.inf
     assert not _has_nan([rep.lhs, rep.rhs, rep.constant, rep.details])
+
+
+@pytest.mark.parametrize("lhs, rhs", [(math.inf, 1.0), (1.0, math.inf), (math.inf, math.inf),
+                                      (-math.inf, 1.0)])
+def test_relative_slack_with_an_infinite_side_is_nan_and_noted(lhs, rhs):
+    # inf <= x + inf would pass: with a NaN slack no comparison holds
+    details = {}
+    slack = relative_slack(1e-12, details, lhs, rhs)
+    assert math.isnan(slack)
+    assert details["note"] == NOT_FINITE
+    assert not lhs <= 2.0 * rhs + slack
+    assert not lhs >= 0.5 * rhs - slack
+
+
+@pytest.mark.parametrize("lhs, rhs", [(math.inf, 1.0), (0.5, math.inf), (1.0, -math.inf)])
+def test_report_with_an_infinite_side_is_noted(lhs, rhs):
+    rep = CheckReport("demo", lhs, rhs, math.nan, "measured-envelope", "report-only",
+                      details={"ratio": 0.0, "note": "kept otherwise"})
+    assert rep.details == {"ratio": 0.0, "note": NOT_FINITE}
+    finite = CheckReport("demo", 1.0, 2.0, math.nan, "measured-envelope", "report-only",
+                         details={"note": "kept"})
+    assert finite.details == {"note": "kept"}

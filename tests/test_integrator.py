@@ -51,7 +51,7 @@ def test_exact_martingale_mean_zero():
     first = SimpleAdaptedProcess(cut, {(0, 0): F.coefficients[(0, 0)]}, ES, F.elem_shape)
     for G in (first, F):
         I = integrate_exact(build_exact_model(G, eps=1e-12))
-        bias = abs(I.mean().values[0])
+        bias = abs(np.tensordot(I.space.probs, I.values, axes=(0, 0))[0])
         assert bias <= 1e-9
 
 
@@ -181,8 +181,8 @@ def test_adapted_coefficient_reads_only_earlier_cells():
     F = two_stage_adapted_process(0.6, 0.5, np.array([1.0]), bump=1.0, elem_space=ES)
     model = build_exact_model(F, eps=1e-8)
     # stage-2 coefficient equals 1 + count of cell (0, 0) on every atom
-    k0 = model.cell_order.index((0, 0))
-    k1 = model.cell_order.index((1, 0))
+    k0 = F.grid.cells().index((0, 0))
+    k1 = F.grid.cells().index((1, 0))
     expected = 1.0 + model.counts[k0]
     assert np.allclose(model.y[k1][:, 0].real, expected)
 
@@ -226,7 +226,7 @@ def _ref_integrate_exact(model, use_copy=False):
     lam = model.process.grid.intensities
     elem_axes = (slice(None),) + (None,) * len(model.process.elem_shape)
     total = np.zeros((model.space.n_atoms,) + tuple(model.process.elem_shape), dtype=complex)
-    for k, (i, j) in enumerate(model.cell_order):
+    for k, (i, j) in enumerate(model.process.grid.cells()):
         comp = (counts[k] - lam[i, j])[elem_axes]
         total = total + model.y[k] * comp
     return total
@@ -272,7 +272,7 @@ def _ref_process_tables(F, model):
             if c is not None:
                 y[k, 0] = c.values
         return lam, np.ones(1), y
-    idx = {cell: k for k, cell in enumerate(model.cell_order)}
+    idx = {cell: k for k, cell in enumerate(model.process.grid.cells())}
     return lam, model.space.probs, np.stack([model.y[idx[cell]] for cell in cells])
 
 
@@ -319,10 +319,11 @@ def test_exact_model_and_integrals_match_reference_bits(name):
     F = _PROCESSES[name]
     model = build_exact_model(F, eps=1e-2, decoupled=True)
     # the table holds each adapted coefficient at the atom's earlier counts
-    for k, (i, j) in enumerate(model.cell_order):
+    cells = F.grid.cells()
+    for k, (i, j) in enumerate(cells):
         for a in range(0, model.space.n_atoms, 97):
-            cb = {model.cell_order[kk]: int(model.counts[kk, a])
-                  for kk in range(len(model.cell_order)) if model.cell_order[kk][0] < i}
+            cb = {cells[kk]: int(model.counts[kk, a])
+                  for kk in range(len(cells)) if cells[kk][0] < i}
             _assert_bits(model.y[k, a], _ref_coefficient_at(F, i, j, cb).values)
     for use_copy in (False, True):
         got = integrate_exact(model, use_copy=use_copy)

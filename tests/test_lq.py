@@ -88,14 +88,14 @@ def test_norm_rejects_bad_input():
        st.floats(min_value=1.0, max_value=8.0))
 def test_homogeneity(c, q):
     x = LqElement(np.array([[1.2, -0.3], [0.4, 2.0]], dtype=complex))
-    assert norm_q(c * x, q) == pytest.approx(abs(c) * norm_q(x, q), rel=1e-9, abs=1e-12)
+    assert norm_q(x * c, q) == pytest.approx(abs(c) * norm_q(x, q), rel=1e-9, abs=1e-12)
 
 
 def test_triangle_inequality_random():
     for _ in range(1000):
         q = RNG.uniform(1.0, 6.0)
         x, y = random_matrix(2, 3), random_matrix(2, 3)
-        assert norm_q(x + y, q) <= norm_q(x, q) + norm_q(y, q) + 1e-9
+        assert norm_q(LqElement(x.values + y.values), q) <= norm_q(x, q) + norm_q(y, q) + 1e-9
 
 
 def test_commutative_matches_weighted_diagonal():

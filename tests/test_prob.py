@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from itolab.lq import InvalidInputError, LqElement, point_space, uniform_space
 from itolab.prob import (BudgetExceededError, FiniteProbabilitySpace,
                          RandomLqVariable, categorical, centered_poisson_moment,
                          exact_moment, independent_product, moment_ci, philox,
-                         product_space, sign_matrix, truncated_poisson)
+                         power_mean, product_space, sign_matrix, truncated_poisson)
 
 RNG = np.random.default_rng(7)
 
@@ -96,11 +97,12 @@ def test_exact_moment_permutation_invariance():
         space = FiniteProbabilitySpace((0, 1), np.array([0.3, 0.7]))
         vals = RNG.standard_normal((2, 1)) + 1j * RNG.standard_normal((2, 1))
         items.append(RandomLqVariable(space, vals.astype(complex), point_space()))
-    _, lifted = independent_product(items)
-    total = lifted[0] + lifted[1] + lifted[2]
-    m1 = exact_moment(total, 3.0, 2.0)
-    _, lifted_perm = independent_product([items[2], items[0], items[1]])
-    total_perm = lifted_perm[0] + lifted_perm[1] + lifted_perm[2]
+    def total(variables):
+        prod, lifted = independent_product(variables)
+        return RandomLqVariable(prod, sum(v.values for v in lifted), point_space())
+
+    m1 = exact_moment(total(items), 3.0, 2.0)
+    total_perm = total([items[2], items[0], items[1]])
     assert m1 == pytest.approx(exact_moment(total_perm, 3.0, 2.0), rel=1e-12)
 
 
@@ -123,7 +125,6 @@ def test_truncated_poisson_mass():
     tp = truncated_poisson(1.0, 1e-12)
     assert tp.tail_bound <= 1e-12
     assert tp.probs.sum() == pytest.approx(1.0, abs=1e-14)
-    assert tp.renormalized
 
 
 def test_truncated_poisson_mean_oracle():
@@ -133,8 +134,9 @@ def test_truncated_poisson_mean_oracle():
     ks = np.arange(tp.cutoff + 1)
     pmf = np.exp(-lam) * lam ** ks / np.array([math.factorial(k) for k in ks])
     oracle = float((ks * pmf).sum() / pmf.sum())
-    assert tp.mean() == pytest.approx(oracle, abs=1e-14)
-    assert tp.mean() == pytest.approx(lam, abs=1e-10)
+    mean = float((np.arange(tp.cutoff + 1) * tp.probs).sum())
+    assert mean == pytest.approx(oracle, abs=1e-14)
+    assert mean == pytest.approx(lam, abs=1e-10)
 
 
 def test_centered_moment_p2_is_lambda():
@@ -237,3 +239,52 @@ def test_moment_ci_clips_lower_end_at_zero():
 def test_moment_ci_needs_two_samples(n):
     with pytest.raises(InvalidInputError):
         moment_ci(np.ones(n), 2.0)
+
+
+# -- power_mean ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_power_mean_is_the_plain_expression_bit_for_bit(seed):
+    gen = philox(seed, 11)
+    k = int(gen.integers(1, 40))
+    values = np.abs(gen.standard_normal(k)) * 10.0 ** gen.uniform(-3, 3)
+    values[gen.random(k) < 0.2] = 0.0
+    probs = gen.dirichlet(np.ones(k))
+    p = float(gen.uniform(1.0, 30.0))
+    assert power_mean(values, probs, p) == float((probs * values ** p).sum() ** (1.0 / p))
+
+
+def _quiet(f, *args):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return f(*args)
+
+
+def test_power_mean_does_not_overflow():
+    # 6^400 overflows; 6 (1/2)^(1/400) does not
+    values, probs = np.array([6.0, 1.0]), np.array([0.5, 0.5])
+    with np.errstate(over="ignore"):
+        assert (probs * values ** 400.0).sum() == math.inf
+    got = _quiet(power_mean, values, probs, 400.0)
+    assert got == pytest.approx(6.0 * 0.5 ** (1.0 / 400.0), rel=1e-15)
+    assert round(got, 4) == 5.9896
+
+
+def test_power_mean_does_not_underflow():
+    got = _quiet(power_mean, np.array([1e-200, 1e-200]), np.array([0.5, 0.5]), 2.0)
+    assert got == pytest.approx(1e-200, rel=1e-15)
+
+
+def test_power_mean_of_zeros_and_of_an_infinite_value():
+    assert _quiet(power_mean, np.zeros(3), np.full(3, 1.0 / 3.0), 1000.0) == 0.0
+    with np.errstate(over="ignore"):
+        assert power_mean(np.array([math.inf, 1.0]), np.array([0.5, 0.5]), 2.0) == math.inf
+
+
+def test_moment_ci_does_not_overflow():
+    # X^1000 overflows at 3; divided by the largest sample 6 it does not
+    samples = np.array([1.0, 3.0, 6.0, 6.0])
+    est, half = _quiet(moment_ci, samples, 1000.0)
+    assert est == pytest.approx(6.0 * 0.5 ** (1.0 / 1000.0), rel=1e-15)
+    assert 0.0 < half < est

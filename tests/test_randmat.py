@@ -203,11 +203,11 @@ def test_sampled_status_stable_across_seeds():
 
 # -- the operator-norm law against a per-moment reference ------------------------
 #
-# _ref_enumerate_stats and _ref_sample_stats are the per-moment statistics as
-# they were before the law was computed once per ensemble: every moment
-# enumerates or samples again and every summand gets its own SVD.  Patched in
-# for the module's own, they give the reference reports of the public entry
-# points, which must match bit for bit.
+# _ref_moments reads the per-moment statistics as they were before the law was
+# computed once per ensemble: every moment enumerates or samples again and
+# every summand gets its own SVD.  Patched in for the module's ``_moments``, it
+# gives the reference reports of the public entry points, which must match bit
+# for bit.
 
 
 def _ref_enumerate_stats(ens, p):
@@ -248,6 +248,14 @@ def _ref_sample_stats(ens, p, n_samples, seed, stream=0):
     return moment_ci(sums, p), moment_ci(norms.max(axis=1), p)
 
 
+def _ref_moments(ens, p, n_samples, seed, stream, exact=True):
+    if exact and ens.exact_feasible():
+        lhs, emax = _ref_enumerate_stats(ens, p)
+        return (lhs, 0.0), (emax, 0.0), False
+    (lhs, lhs_ci), (emax, emax_ci) = _ref_sample_stats(ens, p, n_samples, seed, stream)
+    return (lhs, lhs_ci * 3.0), (emax, emax_ci * 3.0), True
+
+
 PS = (2.0, 3.0, 3.7, 4.5)
 LAWS = {"rademacher": rademacher_law, "two_atom": lambda: two_atom_law(2.0, 0.3),
         "gaussian": gaussian_law}
@@ -262,8 +270,7 @@ def _bits(rep):
 def _with_reference(monkeypatch, run):
     got = run()
     with monkeypatch.context() as mp:
-        mp.setattr(randmat, "_enumerate_stats", _ref_enumerate_stats)
-        mp.setattr(randmat, "_sample_stats", _ref_sample_stats)
+        mp.setattr(randmat, "_moments", _ref_moments)
         want = run()
     assert got == want
 
