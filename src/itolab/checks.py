@@ -15,15 +15,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import integrator
-from .lq import InvalidInputError, LqElement, batch_norm_q, conjugate_exponent
-from .prob import BudgetExceededError, exact_moment, moment_ci, power_mean, sign_matrix
+from .lq import InvalidInputError, LqElement, batch_norm_q, conjugate_exponent, power_mean
+from .prob import BudgetExceededError, exact_moment, moment_ci, sign_matrix
 from .report import (CONFIGURED, EXPLICIT, FAIL, MEASURED, NOT_FINITE, PASS,
                      REPORT_ONLY, CheckReport)
 from .seqnorms import (LqSequence, composite_norm, norm_D, norm_S, regime_select,
                        square_sum_norm)
 from .sumopt import pow2_scale
 
-REL_SLACK = 1e-12
+# relative slack of a verdict on exact moments, and of the bounds that compose
+# several moments and norms (pq_ge2, rosenthal_lq and the matrix bounds)
+REL_SLACK, BOUND_SLACK = 1e-12, 1e-9
 # optimizer budget of check_rosenthal_lq and check_ito_isomorphism
 CHECK_RESTARTS, CHECK_MAX_ITER = 4, 1500
 
@@ -42,9 +44,13 @@ def kahane_kappa(p: float, q: float) -> float:
 
 
 def buchholz_even(q: int) -> float:
-    """Exact K_{q,q} for even integer q: (q! / (2^(q/2) (q/2)!))^(1/q)."""
+    """Exact K_{q,q} for even integer q: (q! / (2^(q/2) (q/2)!))^(1/q), through
+    log-gamma where the quotient overflows a float (q >= 302)."""
     n = q // 2
-    return (math.factorial(q) / (2 ** n * math.factorial(n))) ** (1.0 / q)
+    try:
+        return (math.factorial(q) / (2 ** n * math.factorial(n))) ** (1.0 / q)
+    except OverflowError:
+        return math.exp((math.lgamma(q + 1.0) - n * math.log(2.0) - math.lgamma(n + 1.0)) / q)
 
 
 def khintchine_upper(p: float, q: float) -> float:
@@ -122,10 +128,11 @@ def _sign_sum_norms(seq: LqSequence, q: float) -> np.ndarray:
     return batch_norm_q(sums, q, weights)
 
 
-def rademacher_sum_moment(xs: list[LqElement], p: float, q: float) -> float:
-    """Exact (E || sum_i r_i x_i ||_q^p)^(1/p) over all sign patterns."""
+def rademacher_sum_moment(xs: list[LqElement], q: float, ps: tuple[float, ...]) -> list[float]:
+    """Exact (E || sum_i r_i x_i ||_q^p)^(1/p) for each p of ``ps``, from one
+    enumeration of the sign patterns."""
     norms = _sign_sum_norms(LqSequence.deterministic(xs), q)[:, 0]
-    return power_mean(norms, np.full(len(norms), 1.0 / len(norms)), p)
+    return [power_mean(norms, 1.0 / len(norms), p) for p in ps]
 
 
 def randomized_sum_moment(seq: LqSequence, p: float, q: float) -> float:
@@ -163,7 +170,7 @@ def _require_mean_zero(seq: LqSequence):
 
 
 def check_khintchine(xs: list[LqElement], p: float, q: float, *,
-                     tolerance: float = REL_SLACK, seed: int | None = None) -> CheckReport:
+                     seed: int | None = None) -> CheckReport:
     """Rademacher sums against the square functions, exact sign enumeration.
 
     q >= 2: second-moment lower bound at constant exactly 1, p-th-moment upper
@@ -171,43 +178,41 @@ def check_khintchine(xs: list[LqElement], p: float, q: float, *,
     at the second moment against the decomposition infimum (here, its
     optimizer upper bound); the reverse direction is a recorded ratio.
     """
-    lhs_p = rademacher_sum_moment(xs, p, q)
-    lhs_2 = rademacher_sum_moment(xs, 2.0, q)
+    lhs_p, lhs_2, lhs_q = rademacher_sum_moment(xs, q, (p, 2.0, q))
     seq = LqSequence.deterministic(xs)
     col, row = norm_S(seq, q, "column"), norm_S(seq, q, "row")
     sq_max = max(col, row)
     details = {"moment_p": lhs_p, "moment_2": lhs_2, "column": col, "row": row}
     if q >= 2:
         K = khintchine_upper(p, q)
-        slack = relative_slack(tolerance, details, lhs_p, sq_max)
+        slack = relative_slack(REL_SLACK, details, lhs_p, sq_max)
         ok_lower = lhs_2 >= sq_max - slack
         ok_upper = lhs_p <= K * sq_max + slack
         details["lower_margin"] = lhs_2 - sq_max
         status = PASS if (ok_lower and ok_upper) else FAIL
         return CheckReport("khintchine", lhs_p, sq_max, K, EXPLICIT, status,
-                           p=p, q=q, tolerance=tolerance, seed=seed, details=details)
+                           p=p, q=q, tolerance=REL_SLACK, seed=seed, details=details)
     inf_value = square_sum_norm(seq, q, 1e-5, seed=seed or 0)
     details["decomposition_infimum_upper"] = inf_value
-    lhs_q = rademacher_sum_moment(xs, q, q)
     details["reverse_ratio"] = inf_value / lhs_q if lhs_q > 0 else 0.0
-    ok_upper = lhs_2 <= inf_value + relative_slack(tolerance, details, lhs_2, inf_value)
+    ok_upper = lhs_2 <= inf_value + relative_slack(REL_SLACK, details, lhs_2, inf_value)
     return CheckReport("khintchine", lhs_2, inf_value, 1.0, EXPLICIT,
                        PASS if ok_upper else FAIL, p=p, q=q,
-                       tolerance=tolerance, seed=seed, details=details)
+                       tolerance=REL_SLACK, seed=seed, details=details)
 
 
 def check_symmetrization(seq: LqSequence, p: float, q: float, *,
-                         tolerance: float = REL_SLACK, seed: int | None = None) -> CheckReport:
+                         seed: int | None = None) -> CheckReport:
     """Randomized vs plain sum moments, both constants (1/2 and 2) exact."""
     _require_mean_zero(seq)
     plain = exact_moment(seq.sum_variable(), p, q)
     rand = randomized_sum_moment(seq, p, q)
     details = {"plain": plain, "randomized": rand,
                "ratio": rand / plain if plain > 0 else math.nan}
-    slack = relative_slack(tolerance, details, plain, rand)
+    slack = relative_slack(REL_SLACK, details, plain, rand)
     ok = (rand <= 2.0 * plain + slack) and (rand >= 0.5 * plain - slack)
     return CheckReport("symmetrization", rand, plain, 2.0, EXPLICIT,
-                       PASS if ok else FAIL, p=p, q=q, tolerance=tolerance, seed=seed,
+                       PASS if ok else FAIL, p=p, q=q, tolerance=REL_SLACK, seed=seed,
                        details=details)
 
 
@@ -215,8 +220,7 @@ def check_kahane(xs: list[LqElement], p: float, q: float, *, norm_exp: float = 2
                  seed: int | None = None) -> CheckReport:
     """Moment comparison of Rademacher sums: p-th vs q-th moment of the same
     Banach norm (exponent ``norm_exp``)."""
-    m_p = rademacher_sum_moment(xs, p, norm_exp)
-    m_q = rademacher_sum_moment(xs, q, norm_exp)
+    m_p, m_q = rademacher_sum_moment(xs, norm_exp, (p, q))
     details = {"ratio": m_p / m_q if m_q > 0 else math.nan}
     if q <= 1:
         return CheckReport("kahane", m_p, m_q, math.nan, MEASURED, REPORT_ONLY,
@@ -229,7 +233,7 @@ def check_kahane(xs: list[LqElement], p: float, q: float, *, norm_exp: float = 2
 
 def check_rosenthal_scalar(seq: LqSequence, p: float, *,
                            table: ConstantTable = DEFAULT_TABLE,
-                           tolerance: float = REL_SLACK, seed: int | None = None) -> CheckReport:
+                           seed: int | None = None) -> CheckReport:
     """Scalar sums: max{(sum E|xi|^p)^(1/p), (sum E|xi|^2)^(1/2)} <= 2 * moment,
     and the p/log p upper direction (configured constant, else report-only)."""
     if p < 2:
@@ -241,7 +245,7 @@ def check_rosenthal_scalar(seq: LqSequence, p: float, *,
     rhs_max = max(term_p, term_2)
     details = {"moment": moment, "term_p": term_p, "term_2": term_2,
                "upper_shape": p / math.log(max(p, 1.0 + 1e-9))}
-    slack = relative_slack(tolerance, details, moment, rhs_max)
+    slack = relative_slack(REL_SLACK, details, moment, rhs_max)
     ok_lower = rhs_max <= 2.0 * moment + slack
     status = PASS if ok_lower else FAIL
     if table.rosenthal_factor is not None:
@@ -250,7 +254,7 @@ def check_rosenthal_scalar(seq: LqSequence, p: float, *,
         status = PASS if (ok_lower and ok_upper) else FAIL
         details["upper_constant"] = c
     return CheckReport("rosenthal_scalar", rhs_max, moment, 2.0, EXPLICIT, status,
-                       p=p, q=2.0, tolerance=tolerance, seed=seed, details=details)
+                       p=p, q=2.0, tolerance=REL_SLACK, seed=seed, details=details)
 
 
 def check_rosenthal_positive(seq: LqSequence, p: float, *,
@@ -260,9 +264,10 @@ def check_rosenthal_positive(seq: LqSequence, p: float, *,
     vals = seq.values
     if float(np.abs(vals.imag).max()) > 0 or float(vals.real.min()) < 0:
         raise InvalidInputError("items must be nonnegative")
-    moment = power_mean(vals.real.sum(axis=0)[:, 0], seq.space.probs, p)
+    sums = vals.real.sum(axis=0)[:, 0]
+    moment = power_mean(sums, seq.space.probs, p)
     term_p = norm_D(seq, p, 2.0)
-    term_1 = float((vals.real.sum(axis=0)[:, 0] @ seq.space.probs))
+    term_1 = float(sums @ seq.space.probs)
     rhs = max(term_p, term_1)
     ratio = moment / rhs if rhs > 0 else (0.0 if moment == 0 else math.inf)
     return CheckReport("rosenthal_positive", moment, rhs, math.nan, MEASURED,
@@ -275,9 +280,9 @@ def check_hoffmann_jorgensen(seq: LqSequence, p: float, q: float, *,
                              seed: int | None = None) -> CheckReport:
     """Moment vs first moment plus maximal term, scaled by p/log(2p)."""
     _require_mean_zero(seq)
-    lhs = exact_moment(seq.sum_variable(), p, q)
-    first = exact_moment(seq.sum_variable(), 1.0, q)
     weights = seq.elem_space.weights if seq.elem_space is not None else None
+    sum_norms = batch_norm_q(seq.sum_variable().values, q, weights)
+    lhs, first = (power_mean(sum_norms, seq.space.probs, e) for e in (p, 1.0))
     max_term = power_mean(batch_norm_q(seq.values, q, weights).max(axis=0),
                           seq.space.probs, p)
     shape = hj_shape(p)
@@ -302,7 +307,6 @@ def check_hoffmann_jorgensen(seq: LqSequence, p: float, q: float, *,
 
 
 def check_pq_ge2_equivalence(seq: LqSequence, p: float, q: float, *,
-                             tolerance: float = 1e-9,
                              seed: int | None = None) -> CheckReport:
     """Two-sided moment bound for 2 <= p, q with fully explicit constants.
 
@@ -325,12 +329,12 @@ def check_pq_ge2_equivalence(seq: LqSequence, p: float, q: float, *,
                "inner_constant": inner_c,
                "upper_slack": upper_c * rhs_upper - moment,
                "lower_slack": moment - 0.5 * rhs_lower}
-    slack = relative_slack(tolerance, details, moment, rhs_upper)
+    slack = relative_slack(BOUND_SLACK, details, moment, rhs_upper)
     ok_upper = moment <= upper_c * rhs_upper + slack
     ok_lower = moment >= 0.5 * rhs_lower - slack
     return CheckReport("pq_ge2", moment, rhs_upper, upper_c, EXPLICIT,
                        PASS if (ok_upper and ok_lower) else FAIL,
-                       p=p, q=q, tolerance=tolerance, seed=seed, details=details)
+                       p=p, q=q, tolerance=BOUND_SLACK, seed=seed, details=details)
 
 
 def check_rosenthal_lq(seq: LqSequence, p: float, q: float, *, seed: int = 0) -> CheckReport:
@@ -341,7 +345,7 @@ def check_rosenthal_lq(seq: LqSequence, p: float, q: float, *, seed: int = 0) ->
     constant-2 square-function bounds, and the constant-4 decomposition bound
     for p, q <= 2.  Mixed regimes stay report-only.
     """
-    tol, tolerance = 1e-4, 1e-9
+    tol = 1e-4
     mode = "commutative" if seq.kind == "commutative" else "noncommutative"
     _require_mean_zero(seq)
     scale0 = pow2_scale(float(np.abs(seq.values).max()))
@@ -355,9 +359,9 @@ def check_rosenthal_lq(seq: LqSequence, p: float, q: float, *, seed: int = 0) ->
     details = {"ratio": ratio, "case_id": spec.case_id, "node_values": comp.node_values}
     hard: list[bool] = []
     s_col, s_row = norm_S(seq, q, "column"), norm_S(seq, q, "row")
-    slack = relative_slack(tolerance, details, moment, rhs, s_col, s_row)
+    slack = relative_slack(BOUND_SLACK, details, moment, rhs, s_col, s_row)
     if p >= 2 and q >= 2:
-        sub = check_pq_ge2_equivalence(seq, p, q, tolerance=tolerance)
+        sub = check_pq_ge2_equivalence(seq, p, q)
         details["explicit_two_sided"] = sub.status
         hard.append(sub.status == PASS)
         hard.append(max(s_col, s_row) <= 2.0 * moment + slack)
@@ -374,7 +378,7 @@ def check_rosenthal_lq(seq: LqSequence, p: float, q: float, *, seed: int = 0) ->
         status = REPORT_ONLY
         provenance = MEASURED
     return CheckReport("rosenthal_lq", moment, rhs, math.nan, provenance, status,
-                       p=p, q=q, case_id=str(spec.case_id), tolerance=tolerance,
+                       p=p, q=q, case_id=str(spec.case_id), tolerance=BOUND_SLACK,
                        seed=seed, details=details)
 
 
@@ -382,7 +386,7 @@ def check_type_cotype(xs: list[LqElement], q: float, *, seed: int | None = None)
     """Type-min(q,2) and cotype-max(q,2) comparisons, measured envelopes only."""
     s_type = min(q, 2.0)
     s_cotype = max(q, 2.0)
-    m2 = rademacher_sum_moment(xs, 2.0, q)
+    (m2,) = rademacher_sum_moment(xs, q, (2.0,))
     seq = LqSequence.deterministic(xs)
     ell_type, ell_cotype = norm_D(seq, s_type, q), norm_D(seq, s_cotype, q)
     type_ratio = m2 / ell_type if ell_type > 0 else 0.0

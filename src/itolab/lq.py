@@ -156,10 +156,27 @@ def singular_values(values: np.ndarray) -> np.ndarray:
     return np.sqrt(eig[..., ::-1]) * scale
 
 
-def _power_sum(vals: np.ndarray, weights, q: float) -> np.ndarray:
-    if weights is None:
-        return (vals ** q).sum(axis=-1)
-    return (weights * vals ** q).sum(axis=-1)
+def is_normal(x: np.ndarray | float) -> np.ndarray | bool:
+    """x is finite, positive and not subnormal; elementwise on an array."""
+    return (x >= np.finfo(float).tiny) & (x < math.inf)
+
+
+def power_mean(values: np.ndarray, probs: np.ndarray | float, p: float) -> np.ndarray | float:
+    """(sum_k probs_k values_k^p)^(1/p) over the last axis of values >= 0, with
+    one weight per value or one for all; leading axes are batch, and a 1-d law
+    gives a float.  A row whose sum overflows, underflows or is NaN is divided
+    by its largest value before the power, so a large p gives a finite mean;
+    every other row gets the plain expression's bits."""
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        total = (probs * values ** p).sum(axis=-1)
+        mean = np.asarray(total ** (1.0 / p))
+        redo = ~is_normal(total)
+        if redo.any():
+            top = values.max(axis=-1, initial=0.0)
+            redo &= (0 < top) & (top < math.inf)
+            top = top[redo]
+            mean[redo] = top * (probs * (values[redo] / top[..., None]) ** p).sum(-1) ** (1.0 / p)
+    return float(mean) if mean.ndim == 0 else mean
 
 
 def batch_norm_q(values: np.ndarray, q: float, weights: np.ndarray | None = None) -> np.ndarray:
@@ -174,9 +191,9 @@ def batch_norm_q(values: np.ndarray, q: float, weights: np.ndarray | None = None
     if weights is not None:
         mods = np.abs(v)
         if math.isinf(q):
-            return mods.max(axis=-1) if mods.shape[-1] else np.zeros(mods.shape[:-1])
-        return _power_sum(mods, np.asarray(weights, dtype=float), q) ** (1.0 / q)
+            return mods.max(axis=-1, initial=0.0)
+        return power_mean(mods, np.asarray(weights, dtype=float), q)
     sv = singular_values(v)
     if math.isinf(q):
         return sv[..., 0]
-    return _power_sum(sv, None, q) ** (1.0 / q)
+    return power_mean(sv, 1.0, q)

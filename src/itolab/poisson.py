@@ -97,12 +97,12 @@ def default_lambda_grid(num: int = 60, lo: float = 1e-4, hi: float = 1.0) -> np.
     return np.geomspace(lo, hi, num)
 
 
-def verify_poisson_moment_bounds(p_list, lambda_grid=None, eps: float = 1e-12,
-                                 tolerance: float = 1e-9) -> list[CheckReport]:
+def verify_poisson_moment_bounds(p_list, lambda_grid=None,
+                                 eps: float = 1e-12) -> list[CheckReport]:
     """Measure r(lam) = E|N-lam|^p / lam over the grid for each p.
 
     Reports the envelope [min r, max r]; for p >= 2 additionally asserts the
-    pointwise analytic lower bound at the stated tolerance.
+    pointwise analytic lower bound to within 1e-9.
     """
     if lambda_grid is None:
         lambda_grid = default_lambda_grid()
@@ -121,10 +121,10 @@ def verify_poisson_moment_bounds(p_list, lambda_grid=None, eps: float = 1e-12,
             lb = lower_bound_factor(p, lambda_grid)
             margin = float((moments - lb).min())
             details["analytic_lower_margin"] = margin
-            if margin < -tolerance:
+            if margin < -1e-9:
                 status = FAIL
         out.append(CheckReport(
             check_id="poisson_moment_bounds", lhs=float(r.min()), rhs=float(r.max()),
             constant=math.nan, provenance=MEASURED if p < 2 else EXPLICIT,
-            status=status, p=float(p), q=None, tolerance=tolerance, details=details))
+            status=status, p=float(p), q=None, tolerance=1e-9, details=details))
     return out

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lq import FiniteMeasureSpace, InvalidInputError, batch_norm_q
+from .lq import FiniteMeasureSpace, InvalidInputError, batch_norm_q, is_normal, power_mean
 
 PROB_TOL = 1e-12
 DEFAULT_ATOM_BUDGET = 10 ** 7
@@ -136,26 +136,6 @@ def independent_product(variables: list[RandomLqVariable]) -> tuple[ProductSpace
     return prod, [v.lift(prod, k) for k, v in enumerate(variables)]
 
 
-def _normal(x: float) -> bool:
-    """x is a finite positive float that has not lost bits to underflow."""
-    return np.finfo(float).tiny <= x < math.inf
-
-
-def power_mean(values: np.ndarray, probs: np.ndarray, p: float) -> float:
-    """(sum_k probs_k values_k^p)^(1/p) of a finite law of values >= 0.
-
-    Where that sum overflows, underflows or is NaN, the values are divided by
-    the largest one before the power, so a large p gives a finite mean; every
-    other law gets the plain expression's bits.
-    """
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        total = (probs * values ** p).sum()
-        top = values.max()
-        if not _normal(total) and 0 < top < math.inf:
-            return float(top * (probs * (values / top) ** p).sum() ** (1.0 / p))
-    return float(total ** (1.0 / p))
-
-
 def exact_moment(X: RandomLqVariable, p: float, q: float) -> float:
     """(E ||X||_q^p)^(1/p) by exact enumeration over the atoms."""
     weights = X.elem_space.weights if X.elem_space is not None else None
@@ -175,7 +155,7 @@ def moment_ci(samples: np.ndarray, p: float) -> tuple[float, float]:
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         pw = samples ** p
         m, sd = float(pw.mean()), float(pw.std(ddof=1))
-        if not (_normal(m) and sd < math.inf) and 0 < samples.max() < math.inf:
+        if not (is_normal(m) and sd < math.inf) and 0 < samples.max() < math.inf:
             top = float(samples.max())
             pw = (samples / top) ** p
             m, sd = float(pw.mean()), float(pw.std(ddof=1))

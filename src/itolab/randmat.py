@@ -16,7 +16,7 @@ Exact enumeration is used when the total entry-configuration count is at
 most 2^22, otherwise Monte Carlo with CI-widened thresholds.  Either way an
 ensemble's operator-norm law (sum and largest-summand norms per configuration
 with its probability, or per draw) is computed once; each moment reduces it
-with ``prob.power_mean`` or ``prob.moment_ci``.
+with ``lq.power_mean`` or ``prob.moment_ci``.
 """
 
 from __future__ import annotations
@@ -26,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lq import InvalidInputError
-from .checks import ConstantTable, DEFAULT_TABLE, c_pd, relative_slack
-from .prob import categorical, moment_ci, philox, power_mean
+from .lq import InvalidInputError, power_mean
+from .checks import BOUND_SLACK, ConstantTable, DEFAULT_TABLE, c_pd, relative_slack
+from .prob import categorical, moment_ci, philox
 from .report import (CONFIGURED, EXPLICIT, FAIL, MEASURED, PASS, REPORT_ONLY,
                      CheckReport)
 
@@ -224,8 +224,7 @@ def _square_terms(ens: MatrixEnsemble) -> tuple[float, float]:
 
 
 def bound_matrix_sum(ens: MatrixEnsemble, p: float, *, n_samples: int = 10_000,
-                     seed: int = 0, tolerance: float = 1e-9,
-                     force_mc: bool = False) -> CheckReport:
+                     seed: int = 0, force_mc: bool = False) -> CheckReport:
     """Two-sided sum bound with the stated constants; exact or CI-widened."""
     if p < 2:
         raise InvalidInputError("the sum bound needs p >= 2")
@@ -239,7 +238,7 @@ def bound_matrix_sum(ens: MatrixEnsemble, p: float, *, n_samples: int = 10_000,
                "C_p2d": cpd_half, "monte_carlo": mc, "lhs_ci": lhs_ci,
                "max_ci": emax_ci, "reverse_constant": rev,
                "law": ens.law.name, "n": ens.n, "d1": ens.d1, "d2": ens.d2}
-    slack = relative_slack(tolerance, details, lhs, rhs, floor=1.0)
+    slack = relative_slack(BOUND_SLACK, details, lhs, rhs, floor=1.0)
     ok_upper = lhs - lhs_ci <= rhs + (2.0 * (1.0 + math.sqrt(2.0)) * cpd *
                                       2.0 * cpd_half * emax_ci) + slack
     ok_rev_max = emax - emax_ci <= rev * (lhs + lhs_ci) + slack
@@ -247,7 +246,7 @@ def bound_matrix_sum(ens: MatrixEnsemble, p: float, *, n_samples: int = 10_000,
     ok = ok_upper and ok_rev_max and ok_rev_square
     return CheckReport("matrix_sum", lhs, rhs, 2.0 * (1.0 + math.sqrt(2.0)) * cpd,
                        EXPLICIT, PASS if ok else FAIL, p=p, q=None,
-                       tolerance=tolerance, seed=seed, details=details)
+                       tolerance=BOUND_SLACK, seed=seed, details=details)
 
 
 def _entry_max_moment(ens: MatrixEnsemble, p: float, n_samples: int, seed: int):
@@ -281,10 +280,10 @@ def bound_entry_matrix(ens: MatrixEnsemble, p: float, *, n_samples: int = 10_000
     rhs = constant * max(col, row, 2.0 * cpd_half * emax)
     details = {"column": col, "row": row, "entry_max": emax, "C_pd": cpd,
                "monte_carlo": mc, "lhs_ci": lhs_ci, "law": ens.law.name}
-    slack = relative_slack(1e-9, details, lhs, rhs, floor=1.0)
+    slack = relative_slack(BOUND_SLACK, details, lhs, rhs, floor=1.0)
     ok = lhs - lhs_ci <= rhs + constant * 2.0 * cpd_half * 3.0 * emax_ci + slack
     return CheckReport("matrix_entries", lhs, rhs, constant, EXPLICIT,
-                       PASS if ok else FAIL, p=p, q=None, tolerance=1e-9,
+                       PASS if ok else FAIL, p=p, q=None, tolerance=BOUND_SLACK,
                        seed=seed, details=details)
 
 

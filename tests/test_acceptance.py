@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines and timings.  Every tolerance is pinned here; the runtime budgets are
-asserted as well.
+lines and timings.  Every tolerance is pinned here, a checker's own constant
+by its report's ``tolerance``; the runtime budgets are asserted as well.
 """
 
 import math
@@ -70,10 +70,9 @@ def test_criterion_02_poisson_lower_bound_and_envelopes():
     envs = {}
     for num in (60, 120):
         reports = verify_poisson_moment_bounds([2.0, 2.5, 3.0, 4.0],
-                                               default_lambda_grid(num),
-                                               tolerance=1e-9)
+                                               default_lambda_grid(num))
         for rep in reports:
-            ok &= rep.status == "pass"
+            ok &= rep.status == "pass" and rep.tolerance == 1e-9
             ok &= rep.details["analytic_lower_margin"] >= -1e-9
             lo, hi = rep.details["envelope_low"], rep.details["envelope_high"]
             ok &= 0 < lo <= hi < math.inf
@@ -95,8 +94,8 @@ def test_criterion_03_exact_khintchine():
         n = 1 + int(gen.integers(1, 10))
         xs = [random_element(gen, spec) for _ in range(n)]
         for q in (2.0, 3.0, 4.0):
-            rep = check_khintchine(xs, 2.0, q, tolerance=1e-12)
-            ok &= rep.status == "pass"
+            rep = check_khintchine(xs, 2.0, q)
+            ok &= rep.status == "pass" and rep.tolerance == 1e-12
             ok &= rep.constant == pytest.approx(khintchine_upper(2.0, q))
             ok &= rep.details["lower_margin"] >= -1e-12 * max(rep.lhs, rep.rhs, 1.0)
     _emit(3, ok, "Khintchine: exact constant-1 lower and table upper on 50 instances",
@@ -112,8 +111,8 @@ def test_criterion_04_symmetrization_constants():
         n_atoms = 2 + inst % 2
         seq = random_independent_sequence(gen, n_items, SCALAR, n_atoms)
         p = (2.0, 2.5, 3.0, 4.0)[inst % 4]
-        rep = check_symmetrization(seq, p, 2.0, tolerance=1e-12)
-        ok &= rep.status == "pass"
+        rep = check_symmetrization(seq, p, 2.0)
+        ok &= rep.status == "pass" and rep.tolerance == 1e-12
     _emit(4, ok, "symmetrization constants 1/2 and 2 exact on 100 sequences",
           time.perf_counter() - t0, 30.0)
 
@@ -126,8 +125,8 @@ def test_criterion_05_explicit_two_sided_constants():
     for inst in range(30):
         p, q = pq[inst % len(pq)]
         seq = random_independent_sequence(gen, 3, {"kind": "matrix", "dims": [2, 2]}, 2)
-        rep = check_pq_ge2_equivalence(seq, p, q, tolerance=1e-9)
-        ok &= rep.status == "pass"
+        rep = check_pq_ge2_equivalence(seq, p, q)
+        ok &= rep.status == "pass" and rep.tolerance == 1e-9
         ok &= rep.details["upper_slack"] >= -1e-9
         ok &= rep.details["lower_slack"] >= -1e-9
     _emit(5, ok, "two-sided explicit constants on 30 matrix instances, p,q in {2,2.5,4}",
@@ -141,8 +140,8 @@ def test_criterion_06_scalar_rosenthal_lower():
     for inst in range(50):
         p = (2.0, 3.0, 4.0)[inst % 3]
         seq = random_independent_sequence(gen, 2 + inst % 4, SCALAR, 2)
-        rep = check_rosenthal_scalar(seq, p, tolerance=1e-12)
-        ok &= rep.status == "pass"
+        rep = check_rosenthal_scalar(seq, p)
+        ok &= rep.status == "pass" and rep.tolerance == 1e-12
     _emit(6, ok, "scalar two-sided lower constant 1/2 exact on 50 instances",
           time.perf_counter() - t0, 10.0)
 

@@ -204,25 +204,33 @@ def test_every_traced_target_exists():
 
 # -- one power mean ----------------------------------------------------------------
 #
-# A finite law's p-th moment goes through ``prob.power_mean``, and a sampled
-# one through ``prob.moment_ci``; both divide by the largest value where the
-# p-th powers overflow.  Two functions of ``checks`` still raise to the moment
-# exponent themselves: routed through the helper, their nested means move the
-# last bits of a suite row.
+# A finite law's p-th moment and an element's L^q norm go through
+# ``lq.power_mean``, and a sampled moment through ``prob.moment_ci``; both
+# divide by the largest value where the powers overflow.  In ``lq``, nothing
+# else raises to an exponent it is given.  Two functions of ``checks`` still
+# raise to the moment exponent themselves: routed through the helper, their
+# nested means move the last bits of a suite row.
 
 KEEP_OWN_POWERS = {"randomized_sum_moment", "little_rosenthal_term"}
 
 
-def _is_moment_exponent(e) -> bool:
+def _is_moment_exponent(e, node) -> bool:
     """``p`` or ``p / x``."""
     if isinstance(e, ast.BinOp) and isinstance(e.op, ast.Div):
         e = e.left
     return isinstance(e, ast.Name) and e.id == "p"
 
 
-def moment_powers(module: str) -> set[str]:
-    """Top-level definitions of ``module`` that raise something to the moment
-    exponent, by ``**``, ``pow`` or ``power``."""
+def _reads_an_argument(e, node) -> bool:
+    """``e`` reads a parameter of a function defined in ``node``."""
+    params = {a.arg for f in ast.walk(node) if isinstance(f, ast.FunctionDef)
+              for a in f.args.posonlyargs + f.args.args + f.args.kwonlyargs}
+    return any(isinstance(n, ast.Name) and n.id in params for n in ast.walk(e))
+
+
+def powers(module: str, exponent_test) -> set[str]:
+    """Top-level definitions of ``module`` that raise something, by ``**``,
+    ``pow`` or ``power``, to an exponent that passes ``exponent_test``."""
     found = set()
     for node in ast.parse((SRC / f"{module}.py").read_text()).body:
         for n in ast.walk(node):
@@ -232,10 +240,12 @@ def moment_powers(module: str) -> set[str]:
                 exponent = n.args[1] if len(n.args) > 1 else None
             else:
                 continue
-            if _is_moment_exponent(exponent):
+            if exponent is not None and exponent_test(exponent, node):
                 found.add(getattr(node, "name", "<module>"))
     return found
 
 
 def test_moments_go_through_power_mean():
-    assert moment_powers("checks") | moment_powers("randmat") == KEEP_OWN_POWERS
+    moments = powers("checks", _is_moment_exponent) | powers("randmat", _is_moment_exponent)
+    assert moments == KEEP_OWN_POWERS
+    assert powers("lq", _reads_an_argument) == {"power_mean"}

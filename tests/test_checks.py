@@ -37,6 +37,15 @@ def test_constant_table_values():
     assert c_pd(2.0, 10 ** 4) == pytest.approx(math.e * math.sqrt(2.0))
 
 
+@pytest.mark.parametrize("q", [300, 302, 2000])
+def test_buchholz_even_at_large_q(q):
+    # the exact quotient q! / (2^(q/2) (q/2)!) = (q-1)!! overflows a float
+    # from q = 302; the logarithm of that exact integer is the oracle
+    assert buchholz_even(q) == pytest.approx(
+        math.exp(math.log(math.prod(range(1, q, 2))) / q), rel=1e-12)
+    assert buchholz_even(4) == 3.0 ** 0.25
+
+
 def test_khintchine_single_element_ratio_one():
     gen = philox(1, 0)
     x = random_element(gen, MAT22)

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from itolab import randmat
+from itolab import checks, lq, prob, randmat
 from itolab.cli import CSV_COLUMNS, DEFAULT_BATTERIES, emit, main, run_jobs
 from itolab.config import (CHECKS, KINDS, ConfigError, load_config, parse_config,
                            process_from_table)
@@ -286,7 +286,11 @@ _THREE = dict(_ONE_CELL, cells=[{"i": 0, "j": 0, "value": [3.0]}])
 _LARGE_P = {
     "khintchine": ({"check": "khintchine", "p": 2000, "instances": 1}, "pass",
                    8.03392, 6.07009),
+    "khintchine-q302": ({"check": "khintchine", "q": 302, "instances": 1}, "pass",
+                        5.68160, 5.20214),
     "kahane": ({"check": "kahane", "p": 1000, "instances": 1}, "pass", 3.98017, 2.38913),
+    "kahane-norm_exp2000": ({"check": "kahane", "p": 1000, "q": 1000, "norm_exp": 2000,
+                             "instances": 1}, "pass", 3.98017, 3.98017),
     "matrix_sum": ({"check": "matrix_sum", "p": 1000}, "pass", 7.92824, 201507),
     "hoffmann_jorgensen": ({"check": "hoffmann_jorgensen", "p": 1000, "instances": 1},
                            "report-only", None, None),
@@ -307,6 +311,54 @@ def test_large_exponents_give_finite_moments(job, status, lhs, rhs):
         assert math.isfinite(r.rhs)
     if lhs is not None:
         assert (r.lhs, r.rhs) == pytest.approx((lhs, rhs), rel=1e-5)
+
+
+def test_large_q_gives_finite_element_norms():
+    # the L^q norms of the sums divide by the largest modulus: the Rademacher
+    # moment is finite, while norm_D's own power sums still overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        (r,) = run_jobs(parse_config({"version": 1, "seed": 1, "checks": [
+            {"check": "type_cotype", "q": 2000, "instances": 1}]}))
+        (k,) = run_jobs(parse_config({"version": 1, "seed": 1, "checks": [
+            {"check": "khintchine", "q": 2000, "instances": 1}]}))
+    assert r.lhs == pytest.approx(3.84243, rel=1e-5)
+    assert r.rhs == math.inf and "not finite" in r.details["note"]
+    assert r.status == "report-only"
+    # q = 2000 is past where K_{q,q}'s exact quotient overflows a float; the
+    # row still fails, because norm_S's own power sums overflow
+    assert math.isfinite(k.lhs) and math.isfinite(k.constant)
+
+
+@pytest.mark.parametrize("check", ["khintchine", "kahane"])
+def test_each_row_enumerates_its_sign_sums_once(monkeypatch, check):
+    # every moment of a row is read off one law of the sign-sum norms
+    calls = []
+    sign_sum_norms = checks._sign_sum_norms
+
+    def counted(seq, q):
+        calls.append(q)
+        return sign_sum_norms(seq, q)
+
+    monkeypatch.setattr(checks, "_sign_sum_norms", counted)
+    reports = run_jobs(parse_config({"version": 1, "checks": [
+        {"check": check, "q": [2, 3], "instances": 1}]}))
+    assert len(reports) == len(calls) == 2
+
+
+def test_hoffmann_jorgensen_norms_its_sum_once_per_row(monkeypatch):
+    # one norm of the sum variable, (atoms, points), and one of the items,
+    # (items, atoms, points), per row
+    shapes = []
+
+    def counted(values, q, weights=None):
+        shapes.append(np.shape(values))
+        return lq.batch_norm_q(values, q, weights)
+
+    for module in (checks, prob):
+        monkeypatch.setattr(module, "batch_norm_q", counted)
+    reports = run_jobs(parse_config({"version": 1, "checks": [
+        {"check": "hoffmann_jorgensen", "p": [2, 4], "instances": 1}]}))
+    assert sorted(len(s) for s in shapes) == [2] * len(reports) + [3] * len(reports)
 
 
 def test_hoffmann_jorgensen_overflow_has_no_nan():

@@ -6,7 +6,8 @@ from hypothesis import given, strategies as st
 
 from conftest import norm_q
 from itolab.lq import (ExponentPair, FiniteMeasureSpace, InvalidInputError,
-                       LqElement, point_space, singular_values, uniform_space)
+                       LqElement, batch_norm_q, point_space, singular_values, uniform_space)
+from itolab.prob import philox
 
 RNG = np.random.default_rng(20240817)
 
@@ -74,6 +75,35 @@ def test_singular_values_of_matrix_near_overflow():
     # (inf * 0 gave NaN); the Gram route cannot resolve sigma_2 = 1 against it
     sv = singular_values(np.array([[1.7e308, 0.0], [0.0, 1.0]]))
     assert np.isfinite(sv).all() and sv[0] == 1.7e308
+
+
+def _plain_norm(values, q, weights):
+    """The power sum that batch_norm_q took before it went through power_mean."""
+    if weights is not None:
+        return (weights * np.abs(values) ** q).sum(axis=-1) ** (1.0 / q)
+    return (singular_values(values) ** q).sum(axis=-1) ** (1.0 / q)
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("shape, weighted", [((4, 3, 5), True), ((6, 2, 2), False),
+                                             ((3, 4, 2, 3), False)],
+                         ids=["weighted", "2x2", "2x3"])
+def test_batch_norm_q_is_the_plain_expression_bit_for_bit(seed, shape, weighted):
+    gen = philox(seed, 12)
+    values = (gen.standard_normal(shape) + 1j * gen.standard_normal(shape)) \
+        * 10.0 ** gen.uniform(-3, 3)
+    weights = gen.uniform(0.1, 2.0, shape[-1]) if weighted else None
+    q = float(gen.uniform(1.0, 30.0))
+    assert np.array_equal(batch_norm_q(values, q, weights), _plain_norm(values, q, weights))
+
+
+def test_batch_norm_q_does_not_overflow():
+    # 3^2000 overflows; divided by the largest modulus, (1 + 3^-2000)^(1/2000) = 1
+    values, weights = np.array([[3.0, 1.0]]), np.ones(2)
+    with np.errstate(over="ignore"):
+        assert _plain_norm(values, 2000.0, weights)[0] == math.inf
+    assert batch_norm_q(values, 2000.0, weights)[0] == 3.0
+    assert batch_norm_q(np.diag([3.0, 1.0])[None], 2000.0)[0] == 3.0
 
 
 def test_norm_rejects_bad_input():

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from conftest import norm_q
-from itolab.lq import InvalidInputError, LqElement, point_space, uniform_space
+from itolab.lq import InvalidInputError, LqElement, point_space, power_mean, uniform_space
 from itolab.prob import (BudgetExceededError, FiniteProbabilitySpace,
                          RandomLqVariable, categorical, centered_poisson_moment,
                          exact_moment, independent_product, moment_ci, philox,
-                         power_mean, product_space, sign_matrix, truncated_poisson)
+                         product_space, sign_matrix, truncated_poisson)
 
 RNG = np.random.default_rng(7)
 
@@ -267,8 +267,24 @@ def test_power_mean_does_not_overflow():
     with np.errstate(over="ignore"):
         assert (probs * values ** 400.0).sum() == math.inf
     got = _quiet(power_mean, values, probs, 400.0)
+    assert type(got) is float
     assert got == pytest.approx(6.0 * 0.5 ** (1.0 / 400.0), rel=1e-15)
     assert round(got, 4) == 5.9896
+
+
+def test_power_mean_rescales_only_the_rows_that_need_it():
+    # leading axes are batch: the overflowing row is divided by its largest
+    # value, the zero row stays 0, and the others keep the plain bits
+    values = np.array([[[6.0, 1.0], [2.0, 3.0]], [[0.0, 0.0], [1e-200, 1e-200]]])
+    probs = np.array([0.5, 0.5])
+    got = _quiet(power_mean, values, probs, 400.0)
+    assert got.shape == (2, 2)
+    assert got[0, 0] == power_mean(values[0, 0], probs, 400.0)
+    assert got[0, 1] == float((probs * values[0, 1] ** 400.0).sum() ** (1.0 / 400.0))
+    assert got[1, 0] == 0.0
+    assert got[1, 1] == pytest.approx(1e-200, rel=1e-15)
+    assert np.array_equal(_quiet(power_mean, values[0], 1.0, 2.0),
+                          (values[0] ** 2.0).sum(axis=-1) ** 0.5)
 
 
 def test_power_mean_does_not_underflow():
