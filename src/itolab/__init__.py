@@ -2,16 +2,14 @@
 inequalities, vector-valued Rosenthal inequalities, and random matrix norm
 bounds, built on exact finite-space enumeration with Monte Carlo fallback."""
 
-from .lq import (ExponentPair, FiniteMeasureSpace, InvalidInputError, LqElement,
-                 point_space, uniform_space)
+from .lq import ExponentPair, FiniteMeasureSpace, InvalidInputError, LqElement, point_space
 from .prob import (BudgetExceededError, FiniteProbabilitySpace, RandomLqVariable,
                    TruncatedPoisson, centered_poisson_moment, exact_moment,
                    independent_product, philox, product_space, truncated_poisson)
-from .seqnorms import (Decomposition, LqSequence, RegimeSpec, brute_force_sum_norm,
-                       composite_norm, duality_gap, norm_D, norm_S, regime_select)
+from .seqnorms import (Decomposition, LqSequence, RegimeSpec, composite_norm, norm_D,
+                       norm_S, regime_select)
 from .poisson import GridPartition, verify_poisson_moment_bounds
-from .integrator import (SimpleAdaptedProcess, build_exact_model,
-                         decoupling_difference_sequence, deterministic_process,
+from .integrator import (SimpleAdaptedProcess, build_exact_model, deterministic_process,
                          integrate_exact, process_norm, running_max_moment)
 from .report import CheckReport
 from .checks import (ConstantTable, check_decoupling, check_doob,

@@ -28,6 +28,8 @@ from .sumopt import pow2_scale
 REL_SLACK, BOUND_SLACK = 1e-12, 1e-9
 # optimizer budget of check_rosenthal_lq and check_ito_isomorphism
 CHECK_RESTARTS, CHECK_MAX_ITER = 4, 1500
+# most items whose 2^n sign patterns are enumerated
+MAX_SIGN_ITEMS = 24
 
 
 # -- constant table ------------------------------------------------------------
@@ -121,8 +123,8 @@ DEFAULT_TABLE = ConstantTable()
 def _sign_sum_norms(seq: LqSequence, q: float) -> np.ndarray:
     """||sum_i r_i f_i||_q per sign pattern (rows) and atom (columns)."""
     n = seq.n_items
-    if n > 24:
-        raise InvalidInputError("sign enumeration capped at n = 24")
+    if n > MAX_SIGN_ITEMS:
+        raise InvalidInputError(f"sign enumeration capped at n = {MAX_SIGN_ITEMS}")
     sums = np.tensordot(sign_matrix(n), seq.values, axes=(1, 0))  # (2^n, atoms, *elem)
     weights = seq.elem_space.weights if seq.elem_space is not None else None
     return batch_norm_q(sums, q, weights)

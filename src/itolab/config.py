@@ -22,9 +22,9 @@ import numpy as np
 from . import checks as C
 from . import randmat as RM
 from .checks import ConstantTable
-from .lq import ExponentPair, InvalidInputError
+from .lq import ExponentPair, InvalidInputError, LqElement
 from .poisson import GridPartition, default_lambda_grid, verify_poisson_moment_bounds
-from .integrator import SimpleAdaptedProcess, deterministic_process
+from .integrator import SimpleAdaptedProcess
 from .instances import (element_space_of, random_element, random_independent_sequence,
                         random_positive_sequence)
 from .prob import philox
@@ -138,6 +138,17 @@ def _exponents(v, key: str, cid: str, *_) -> list:
     return xs
 
 
+# checks whose checker enumerates the 2^n_items sign patterns
+_SIGN_SUMS = ("khintchine", "kahane", "type_cotype", "symmetrization")
+
+
+def _n_items(v, key: str, cid: str, *_) -> int:
+    """An item count, at most ``checks.MAX_SIGN_ITEMS`` for a sign-enumerating check."""
+    return _value(_integer(v, key), key, ok=lambda n: cid not in _SIGN_SUMS
+                  or n <= C.MAX_SIGN_ITEMS, domain=f"at most {C.MAX_SIGN_ITEMS}, since "
+                  f"{cid} enumerates its 2^{key} sign patterns")
+
+
 def _element(spec, what: str, *_) -> dict:
     """An element spec with its defaults filled in."""
     _reject_unknown(spec, {"kind", "weights", "dims"}, what)
@@ -195,7 +206,8 @@ KINDS = {
                         domain="a finite number of at least 1"),
     "eps": partial(_number, ok=lambda x: 0 < x < 1, domain="a number in (0, 1)"),
     "tol": partial(_number, **_POSITIVE), "n_samples": partial(_integer, lo=2),
-    **dict.fromkeys(("n_items", "n_atoms", "instances", "d1", "d2", "n", "d"), _integer),
+    **dict.fromkeys(("n_atoms", "instances", "d1", "d2", "n", "d"), _integer),
+    "n_items": _n_items,
     "element": _element, "law": _law, "lambda_grid": _lambda_grid,
     "a": lambda v, key, *_: _rows(v, key, partial(_number, what=key)),
     "process": lambda v, key, _, base_dir: process_from_table(v, base_dir),
@@ -218,7 +230,9 @@ def _complex(v) -> complex:
 
 
 def process_from_table(obj: dict, base_dir: str = ".") -> SimpleAdaptedProcess:
-    """Build a deterministic process from its grid and cell table."""
+    """Build a deterministic process from its grid and cell table; the
+    element spec gives the value shape, so a table without cells is the zero
+    process."""
     if isinstance(obj, dict) and set(obj) == {"file"}:
         obj = _read_json(base_dir, obj["file"])
     _reject_unknown(obj, {"grid", "cells", "element"}, "process", {"grid", "cells"})
@@ -231,14 +245,16 @@ def process_from_table(obj: dict, base_dir: str = ".") -> SimpleAdaptedProcess:
         [_number(t, "time point") for t in _list(grid_raw["time_points"], "time_points")],
         tuple(m["label"] for m in marks), [_number(m["measure"], "measure") for m in marks])
     elem = _element(obj.get("element", SCALAR_ELEMENT), "process.element")
+    space = element_space_of(elem)
     cells = {}
     for c in _list(obj["cells"], "process.cells", empty_ok=True):
         _reject_unknown(c, {"i", "j", "value"}, "process.cells[]", {"i", "j", "value"})
         v = c["value"]
-        cells[(_integer(c["i"], "cell i", lo=0), _integer(c["j"], "cell j", lo=0))] = np.array(
+        cells[(_integer(c["i"], "cell i", lo=0), _integer(c["j"], "cell j", lo=0))] = LqElement(
             [_complex(x) for x in _list(v, "cell value")] if elem["kind"] == "commutative"
-            else _rows(v, "cell value", _complex))
-    return deterministic_process(grid, cells, element_space_of(elem))
+            else _rows(v, "cell value", _complex), space)
+    shape = (space.n_atoms,) if space is not None else tuple(elem["dims"])
+    return SimpleAdaptedProcess(grid, cells, space, shape)
 
 
 # -- the check table -------------------------------------------------------------

@@ -268,40 +268,3 @@ def process_norm(F: SimpleAdaptedProcess, p: float, q: float, tol: float = 1e-6,
     spec = regime_select(p, q, "commutative" if F.elem_space is not None else "noncommutative")
     return evaluate_tree(spec.tree, lambda name: norm_atom(name, p, q, probs, weights, lam), y,
                          tol, restarts=restarts, max_iter=max_iter, seed=seed)[0]
-
-
-# -- decoupling construction ----------------------------------------------------
-
-
-def decoupling_difference_sequence(G_list, M_list, Mc_list) -> dict:
-    """Martingale differences interleaving a sequence with its independent copy.
-
-    Given stagewise G_i (predictable factors), M_i, and the copies M_i^c,
-    builds d_{2i-1} = G_i (M_i + M_i^c)/2 and d_{2i} = G_i (M_i - M_i^c)/2,
-    and verifies per path that
-
-        sum d_i = sum G_i M_i     and     sum (-1)^(i+1) d_i = sum G_i M_i^c.
-    """
-    n = len(G_list)
-    if not (len(M_list) == len(Mc_list) == n):
-        raise InvalidInputError("stage lists must have equal length")
-    d = []
-    total = None
-    alt = None
-    gm = None
-    gmc = None
-    for i in range(n):
-        G = np.asarray(G_list[i], dtype=complex)
-        M = np.asarray(M_list[i], dtype=complex)
-        Mc = np.asarray(Mc_list[i], dtype=complex)
-        odd = 0.5 * G * (M + Mc)
-        even = 0.5 * G * (M - Mc)
-        d.extend([odd, even])
-        total = odd + even if total is None else total + odd + even
-        alt = odd - even if alt is None else alt + odd - even
-        gm = G * M if gm is None else gm + G * M
-        gmc = G * Mc if gmc is None else gmc + G * Mc
-    res_sum = float(np.abs(total - gm).max()) if n else 0.0
-    res_alt = float(np.abs(alt - gmc).max()) if n else 0.0
-    return {"d": d, "sum": total, "alternating": alt,
-            "sum_residual": res_sum, "alternating_residual": res_alt}

@@ -59,11 +59,6 @@ def point_space() -> FiniteMeasureSpace:
     return FiniteMeasureSpace(("*",), np.array([1.0]))
 
 
-def uniform_space(n: int, total: float = 1.0) -> FiniteMeasureSpace:
-    """n atoms of equal weight total/n."""
-    return FiniteMeasureSpace(tuple(range(n)), np.full(n, total / n))
-
-
 @dataclass(frozen=True, eq=False)
 class LqElement:
     """An element of L^q: weighted vector (commutative) or matrix.

@@ -28,6 +28,9 @@ from .lq import InvalidInputError
 from .prob import centered_poisson_moment
 from .report import EXPLICIT, FAIL, MEASURED, PASS, CheckReport
 
+# largest cell intensity; numpy's Poisson sampler takes lam below about 9.2e18
+MAX_INTENSITY = 1e18
+
 
 @dataclass(frozen=True, eq=False)
 class GridPartition:
@@ -50,6 +53,9 @@ class GridPartition:
             raise InvalidInputError("each mark set needs a positive finite measure")
         t.setflags(write=False)
         nu.setflags(write=False)
+        if not self.intensities.max() <= MAX_INTENSITY:
+            raise InvalidInputError(f"every cell intensity must be at most {MAX_INTENSITY:g}, "
+                                    "the range of the Poisson sampler")
 
     def __eq__(self, other):
         if not isinstance(other, GridPartition):

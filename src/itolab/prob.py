@@ -187,7 +187,11 @@ class TruncatedPoisson:
 
 
 def truncated_poisson(lam: float, eps: float) -> TruncatedPoisson:
-    """Minimal cutoff K with tail mass <= eps; probabilities renormalized."""
+    """Minimal cutoff K with tail mass <= eps; probabilities renormalized.
+
+    The pmf is built up from exp(-lam); above lam of about 708 that is not a
+    normal float, and BudgetExceededError sends the caller to Monte Carlo.
+    """
     if lam < 0:
         raise InvalidInputError("lambda must be nonnegative")
     if not (0 < eps < 1):
@@ -195,6 +199,9 @@ def truncated_poisson(lam: float, eps: float) -> TruncatedPoisson:
     if lam == 0:
         return TruncatedPoisson(0.0, 0, np.array([1.0]), 0.0)
     term = math.exp(-lam)
+    if not is_normal(term):
+        raise BudgetExceededError(f"Poisson({lam:g}) is too wide to enumerate: its mass "
+                                  "at 0 underflows; use the Monte Carlo path instead")
     cum = term
     terms = [term]
     k = 0
@@ -215,7 +222,9 @@ def centered_poisson_moment(p: float, lam: float, eps: float = 1e-12,
 
     The series is summed until a certified bound on the remaining tail drops
     below ``eps``.  The tail is dominated via |k - lam|^p <= k^p for k > lam
-    together with a ratio test on k^p * pmf(k).
+    together with a ratio test on k^p * pmf(k).  Where a power k^p leaves
+    the float range (from p of about 140 at eps 1e-12), the moment is inf:
+    no finite value is claimed.
     """
     if p < 1:
         raise InvalidInputError("p must be >= 1")
@@ -227,21 +236,24 @@ def centered_poisson_moment(p: float, lam: float, eps: float = 1e-12,
     pmf = math.exp(-lam)
     k = 0
     tail_bound = math.inf
-    while True:
-        total += abs(k - lam) ** p * pmf
-        nxt = pmf * lam / (k + 1)
-        if k + 1 > lam:
-            # ratio of consecutive k^p * pmf(k) terms, decreasing from here on
-            ratio = ((k + 2) / (k + 1)) ** p * lam / (k + 2)
-            if ratio < 1.0:
-                tail_bound = (k + 1) ** p * nxt / (1.0 - ratio)
-                if tail_bound <= eps:
-                    k += 1
-                    break
-        pmf = nxt
-        k += 1
-        if k > 10 ** 6:
-            raise RuntimeError("moment series did not converge")
+    try:
+        while True:
+            total += abs(k - lam) ** p * pmf
+            nxt = pmf * lam / (k + 1)
+            if k + 1 > lam:
+                # ratio of consecutive k^p * pmf(k) terms, decreasing from here on
+                ratio = ((k + 2) / (k + 1)) ** p * lam / (k + 2)
+                if ratio < 1.0:
+                    tail_bound = (k + 1) ** p * nxt / (1.0 - ratio)
+                    if tail_bound <= eps:
+                        k += 1
+                        break
+            pmf = nxt
+            k += 1
+            if k > 10 ** 6:
+                raise RuntimeError("moment series did not converge")
+    except OverflowError:
+        total, tail_bound = math.inf, math.inf
     if details:
         return total, {"cutoff": k, "tail_bound": tail_bound}
     return total

@@ -55,8 +55,11 @@ class EntryLaw:
         if self.atoms is not None:
             a = np.asarray(self.atoms, dtype=float)
             p = np.asarray(self.probs, dtype=float)
-            if abs(float((a * p).sum())) > 1e-12 * max(1.0, np.abs(a).max()):
-                raise InvalidInputError("entry law must be mean-zero")
+            # an infinite atom makes the mean inf or NaN and the bound inf, and
+            # either passes a "mean > bound" test
+            if not (np.isfinite(a).all()
+                    and abs(float((a * p).sum())) <= 1e-12 * max(1.0, np.abs(a).max())):
+                raise InvalidInputError("entry law must have finite atoms and mean zero")
             object.__setattr__(self, "atoms", a)
             object.__setattr__(self, "probs", p)
 
@@ -85,7 +88,8 @@ def gaussian_law() -> EntryLaw:
 
 
 def two_atom_law(a: float, prob: float, fourth_finite: bool = True) -> EntryLaw:
-    """Value a with probability prob, balanced to mean zero."""
+    """Value a with probability prob, balanced to mean zero; an overflowing
+    balancing atom -a prob / (1 - prob) is rejected as not finite."""
     if not (0 < prob < 1):
         raise InvalidInputError("prob must lie in (0, 1)")
     b = -a * prob / (1.0 - prob)

@@ -18,15 +18,15 @@ from itolab.checks import (check_decoupling, check_doob, check_ito_isomorphism,
 from itolab.instances import (multi_cell_process, random_element,
                               random_independent_sequence, single_cell_process,
                               two_stage_adapted_process)
-from itolab.integrator import build_exact_model, decoupling_difference_sequence
-from itolab.lq import LqElement, point_space, uniform_space
+from itolab.integrator import build_exact_model
+from itolab.lq import LqElement, point_space
 from itolab.poisson import default_lambda_grid, verify_poisson_moment_bounds
 from itolab.prob import (FiniteProbabilitySpace, centered_poisson_moment, philox)
 from itolab.randmat import (MatrixEnsemble, bound_entry_matrix, bound_latala,
                             bound_matrix_sum, gaussian_law, rademacher_law,
                             two_atom_law)
-from itolab.seqnorms import (LqSequence, brute_force_sum_norm, composite_norm,
-                             duality_gap, regime_select)
+from itolab.seqnorms import LqSequence, composite_norm, regime_select
+from oracles import brute_force_sum_norm, decoupling_difference_sequence, duality_gap
 
 POINT = point_space()
 SCALAR = {"kind": "commutative", "weights": [1.0]}

@@ -14,10 +14,11 @@ from itolab.instances import (bernoulli_sequence, multi_cell_process,
                               random_element, random_independent_sequence,
                               random_positive_sequence, single_cell_process,
                               two_stage_adapted_process)
-from itolab.lq import LqElement, point_space, uniform_space
+from itolab.lq import LqElement, point_space
 from itolab.prob import FiniteProbabilitySpace, RandomLqVariable, philox
 from itolab.report import NOT_FINITE, CheckReport
 from itolab.seqnorms import LqSequence
+from oracles import uniform_space
 
 ES = point_space()
 SCALAR = {"kind": "commutative", "weights": [1.0]}

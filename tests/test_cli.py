@@ -13,7 +13,7 @@ from itolab import checks, lq, prob, randmat
 from itolab.cli import CSV_COLUMNS, DEFAULT_BATTERIES, emit, main, run_jobs
 from itolab.config import (CHECKS, KINDS, ConfigError, load_config, parse_config,
                            process_from_table)
-from itolab.report import CheckReport
+from itolab.report import NOT_FINITE, CheckReport
 
 PERFBENCH = Path(__file__).parents[1] / "perfbench"
 WORKLOADS = runpy.run_path(str(PERFBENCH / "workloads.py"))["WORKLOADS"]
@@ -421,6 +421,59 @@ def test_no_nan_in_any_report(job):
         assert not (math.isnan(r.lhs) or math.isnan(r.rhs))
         assert not any(isinstance(v, float) and math.isnan(v) for v in r.details.values())
     assert any("not finite" in r.details.get("note", "") for r in reports)
+
+
+_MATRIX = {"kind": "matrix", "dims": [2, 2]}
+_NO_CELLS = dict(_ONE_CELL, cells=[])
+
+
+def _one_mark(measure: float) -> dict:
+    return dict(_ONE_CELL, grid={"time_points": [0.0, 1.0],
+                                 "marks": [{"label": "A", "measure": measure}]})
+
+
+# configs that parse and used to raise while running; the exit code each gets
+_HOSTILE = {
+    # the zero process: its element spec gives the value shape
+    "doob-no-cells": ({"check": "doob", "process": _NO_CELLS, "n_samples": 200}, 0),
+    "doob-no-cells-matrix": ({"check": "doob", "process": dict(_NO_CELLS, element=_MATRIX),
+                              "n_samples": 200}, 0),
+    "decoupling-no-cells": ({"check": "decoupling", "process": _NO_CELLS}, 0),
+    "decoupling-no-cells-matrix": ({"check": "decoupling",
+                                    "process": dict(_NO_CELLS, element=_MATRIX)}, 0),
+    # a zero member has R = inf, so the band is inf
+    "ito-member-no-cells": ({"check": "ito_isomorphism", "family": [_ONE_CELL, _NO_CELLS]}, 1),
+    "ito-member-no-cells-matrix": ({"check": "ito_isomorphism",
+                                    "family": [dict(_NO_CELLS, element=_MATRIX)]}, 1),
+    # 2^25 sign patterns: past the enumeration cap
+    **{f"{cid}-25-items": ({"check": cid, "n_items": 25}, 2)
+       for cid in ("khintchine", "kahane", "type_cotype")},
+    "symmetrization-25-items": ({"check": "symmetrization", "n_items": 25, "n_atoms": 1}, 2),
+    # the balancing atom -a prob / (1 - prob) overflows
+    "two-atom-overflow": ({"check": "matrix_sum",
+                           "law": {"two_atom": {"a": 1e308, "prob": 0.999}}}, 2),
+    # k^p leaves the float range: an inf side, noted, that does not pass
+    **{f"poisson-p{p:g}": ({"check": "poisson_moment_bounds", "p": [p]}, 1)
+       for p in (200, 500, 1000, 1e5)},
+    # exp(-800) underflows: too wide to enumerate
+    "decoupling-measure-800": ({"check": "decoupling", "process": _one_mark(800.0)}, 3),
+    # past numpy's Poisson sampler
+    "doob-measure-1e19": ({"check": "doob", "process": _one_mark(1e19), "n_samples": 200}, 2),
+}
+
+
+@pytest.mark.parametrize("job, code", _HOSTILE.values(), ids=_HOSTILE.keys())
+def test_hostile_config_exits_cleanly(tmp_path, job, code):
+    cfg = tmp_path / "hostile.json"
+    cfg.write_text(json.dumps({"version": 1, "seed": 1, "checks": [job]}))
+    out = tmp_path / "out.json"
+    assert main(["suite", "--config", str(cfg), "--out", str(out), "--format", "json"]) == code
+    rows = json.loads(out.read_text()) if out.exists() else []
+    for row in rows:
+        if not (math.isfinite(row["lhs"]) and math.isfinite(row["rhs"])):
+            assert row["status"] != "pass" and row["details"]["note"] == NOT_FINITE
+    if job["check"] in ("doob", "decoupling") and code == 0:
+        assert [(r["status"], r["lhs"], r["rhs"]) for r in rows] == [("pass", 0.0, 0.0)]
 
 
 def test_emit_json_round_trip(tmp_path):

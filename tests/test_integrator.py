@@ -6,16 +6,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from itolab.lq import LqElement, batch_norm_q, point_space, uniform_space
+from itolab.lq import LqElement, batch_norm_q, point_space
 from itolab.poisson import GridPartition
 from itolab.normfuncs import norm_atom
 from itolab.prob import exact_moment, philox, centered_poisson_moment
 from itolab.integrator import (SimpleAdaptedProcess, _process_tables, build_exact_model,
-                               decoupling_difference_sequence, deterministic_process,
-                               integrate_exact, process_norm, running_max_moment,
-                               sample_paths)
+                               deterministic_process, integrate_exact, process_norm,
+                               running_max_moment, sample_paths)
 from itolab.instances import (multi_cell_process, single_cell_process,
                               two_stage_adapted_process)
+from oracles import decoupling_difference_sequence, uniform_space
 
 ES = point_space()
 

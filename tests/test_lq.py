@@ -6,8 +6,9 @@ from hypothesis import given, strategies as st
 
 from conftest import norm_q
 from itolab.lq import (ExponentPair, FiniteMeasureSpace, InvalidInputError,
-                       LqElement, batch_norm_q, point_space, singular_values, uniform_space)
+                       LqElement, batch_norm_q, point_space, singular_values)
 from itolab.prob import philox
+from oracles import uniform_space
 
 RNG = np.random.default_rng(20240817)
 

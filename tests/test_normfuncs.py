@@ -16,7 +16,8 @@ from itolab import normfuncs, sumopt
 from itolab.lq import FiniteMeasureSpace, InvalidInputError
 from itolab.normfuncs import norm_atom
 from itolab.prob import FiniteProbabilitySpace
-from itolab.seqnorms import LqSequence, _direct_atom
+from itolab.seqnorms import LqSequence
+from oracles import _direct_atom
 
 PROBS = np.array([0.5, 0.25, 0.25])
 WEIGHTS = np.array([1.0, 0.5, 2.0])

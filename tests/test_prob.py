@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from conftest import norm_q
-from itolab.lq import InvalidInputError, LqElement, point_space, power_mean, uniform_space
+from itolab.lq import InvalidInputError, LqElement, point_space, power_mean
 from itolab.prob import (BudgetExceededError, FiniteProbabilitySpace,
                          RandomLqVariable, categorical, centered_poisson_moment,
                          exact_moment, independent_product, moment_ci, philox,
                          product_space, sign_matrix, truncated_poisson)
+from oracles import uniform_space
 
 RNG = np.random.default_rng(7)
 

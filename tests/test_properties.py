@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import norm_q
-from itolab.lq import LqElement, uniform_space
+from itolab.lq import LqElement
 from itolab.prob import philox, truncated_poisson
 from itolab.seqnorms import LqSequence, norm_D, norm_S, regime_select
 from itolab.prob import FiniteProbabilitySpace

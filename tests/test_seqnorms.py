@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from itolab.lq import LqElement, point_space, uniform_space
+from itolab.lq import LqElement, point_space
 from itolab.prob import FiniteProbabilitySpace, philox
-from itolab.seqnorms import (LqSequence, NormExpr, RegimeSpec,
-                             brute_force_sum_norm, composite_norm, duality_gap,
-                             norm_D, norm_S, regime_select, sequence_pairing)
+from itolab.seqnorms import (LqSequence, NormExpr, RegimeSpec, composite_norm, norm_D,
+                             norm_S, regime_select)
+from oracles import brute_force_sum_norm, duality_gap, sequence_pairing, uniform_space
 
 COIN = FiniteProbabilitySpace((0, 1), np.array([0.5, 0.5]))
 POINT = point_space()
