@@ -28,8 +28,10 @@ from .sumopt import pow2_scale
 REL_SLACK, BOUND_SLACK = 1e-12, 1e-9
 # optimizer budget of check_rosenthal_lq and check_ito_isomorphism
 CHECK_RESTARTS, CHECK_MAX_ITER = 4, 1500
-# most items whose 2^n sign patterns are enumerated
+# most items whose 2^n sign patterns are enumerated, and the checks that
+# enumerate them (through _sign_sum_norms)
 MAX_SIGN_ITEMS = 24
+SIGN_SUM_CHECKS = frozenset({"khintchine", "kahane", "type_cotype", "symmetrization"})
 
 
 # -- constant table ------------------------------------------------------------

@@ -22,11 +22,11 @@ import numpy as np
 from . import checks as C
 from . import randmat as RM
 from .checks import ConstantTable
-from .lq import ExponentPair, InvalidInputError, LqElement
+from .lq import ExponentPair, InvalidInputError
 from .poisson import GridPartition, default_lambda_grid, verify_poisson_moment_bounds
-from .integrator import SimpleAdaptedProcess
-from .instances import (element_space_of, random_element, random_independent_sequence,
-                        random_positive_sequence)
+from .integrator import SimpleAdaptedProcess, deterministic_process
+from .instances import (element_shape, element_space_of, random_element,
+                        random_independent_sequence, random_positive_sequence)
 from .prob import philox
 
 
@@ -138,13 +138,9 @@ def _exponents(v, key: str, cid: str, *_) -> list:
     return xs
 
 
-# checks whose checker enumerates the 2^n_items sign patterns
-_SIGN_SUMS = ("khintchine", "kahane", "type_cotype", "symmetrization")
-
-
 def _n_items(v, key: str, cid: str, *_) -> int:
     """An item count, at most ``checks.MAX_SIGN_ITEMS`` for a sign-enumerating check."""
-    return _value(_integer(v, key), key, ok=lambda n: cid not in _SIGN_SUMS
+    return _value(_integer(v, key), key, ok=lambda n: cid not in C.SIGN_SUM_CHECKS
                   or n <= C.MAX_SIGN_ITEMS, domain=f"at most {C.MAX_SIGN_ITEMS}, since "
                   f"{cid} enumerates its 2^{key} sign patterns")
 
@@ -245,16 +241,14 @@ def process_from_table(obj: dict, base_dir: str = ".") -> SimpleAdaptedProcess:
         [_number(t, "time point") for t in _list(grid_raw["time_points"], "time_points")],
         tuple(m["label"] for m in marks), [_number(m["measure"], "measure") for m in marks])
     elem = _element(obj.get("element", SCALAR_ELEMENT), "process.element")
-    space = element_space_of(elem)
     cells = {}
     for c in _list(obj["cells"], "process.cells", empty_ok=True):
         _reject_unknown(c, {"i", "j", "value"}, "process.cells[]", {"i", "j", "value"})
         v = c["value"]
-        cells[(_integer(c["i"], "cell i", lo=0), _integer(c["j"], "cell j", lo=0))] = LqElement(
+        cells[(_integer(c["i"], "cell i", lo=0), _integer(c["j"], "cell j", lo=0))] = np.array(
             [_complex(x) for x in _list(v, "cell value")] if elem["kind"] == "commutative"
-            else _rows(v, "cell value", _complex), space)
-    shape = (space.n_atoms,) if space is not None else tuple(elem["dims"])
-    return SimpleAdaptedProcess(grid, cells, space, shape)
+            else _rows(v, "cell value", _complex))
+    return deterministic_process(grid, cells, element_space_of(elem), element_shape(elem))
 
 
 # -- the check table -------------------------------------------------------------

@@ -18,15 +18,18 @@ def element_space_of(spec: dict) -> FiniteMeasureSpace | None:
     return None
 
 
+def element_shape(spec: dict) -> tuple:
+    """Value shape of an element: (atoms,) for commutative, dims for matrix."""
+    if spec.get("kind", "matrix") == "commutative":
+        return (len(spec.get("weights", [1.0])),)
+    return tuple(spec.get("dims", [2, 2]))
+
+
 def random_element(gen: np.random.Generator, spec: dict) -> LqElement:
     """Element with complex standard-normal entries."""
-    space = element_space_of(spec)
-    if space is not None:
-        shape = (space.n_atoms,)
-    else:
-        shape = tuple(spec.get("dims", [2, 2]))
+    shape = element_shape(spec)
     vals = gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
-    return LqElement(vals, space)
+    return LqElement(vals, element_space_of(spec))
 
 
 def random_mean_zero_variable(gen: np.random.Generator, spec: dict,
@@ -39,8 +42,7 @@ def random_mean_zero_variable(gen: np.random.Generator, spec: dict,
     probs = gen.uniform(0.2, 0.8, size=n_atoms)
     probs = probs / probs.sum()
     space = FiniteProbabilitySpace(tuple(range(n_atoms)), probs)
-    es = element_space_of(spec)
-    shape = (es.n_atoms,) if es is not None else tuple(spec.get("dims", [2, 2]))
+    es, shape = element_space_of(spec), element_shape(spec)
     vals = gen.standard_normal((n_atoms,) + shape)
     vals = vals + 1j * gen.standard_normal((n_atoms,) + shape)
     pcol = probs[:-1].reshape((-1,) + (1,) * len(shape))

@@ -94,16 +94,23 @@ class SimpleAdaptedProcess:
         return m
 
 
-def deterministic_process(grid: GridPartition, cells: dict,
-                          elem_space=None) -> SimpleAdaptedProcess:
-    """Process from a {(i, j): array} table of deterministic values."""
-    coeff = {}
-    shape = None
-    for key, arr in cells.items():
-        x = LqElement(np.asarray(arr, dtype=complex), elem_space)
-        coeff[key] = x
-        shape = x.shape
-    return SimpleAdaptedProcess(grid, coeff, elem_space, shape or ())
+def deterministic_process(grid: GridPartition, cells: dict, elem_space=None,
+                          shape: tuple | None = None) -> SimpleAdaptedProcess:
+    """Process from a {(i, j): array} table of deterministic values.
+
+    ``shape`` is the value shape, by default (atoms,) of ``elem_space`` or,
+    for a matrix element, that of the cells; a table without cells is the
+    zero process.
+    """
+    coeff = {key: LqElement(np.asarray(arr, dtype=complex), elem_space)
+             for key, arr in cells.items()}
+    if shape is None and elem_space is not None:
+        shape = (elem_space.n_atoms,)
+    elif shape is None:
+        if not coeff:
+            raise InvalidInputError("a matrix process without cells needs its shape")
+        shape = next(iter(coeff.values())).shape
+    return SimpleAdaptedProcess(grid, coeff, elem_space, tuple(shape))
 
 
 def _coefficient_table(F: SimpleAdaptedProcess, cells: list, counts: np.ndarray) -> np.ndarray:

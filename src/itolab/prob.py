@@ -10,6 +10,7 @@ and a certified tail bound for moment series.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,7 @@ from .lq import FiniteMeasureSpace, InvalidInputError, batch_norm_q, is_normal, 
 
 PROB_TOL = 1e-12
 DEFAULT_ATOM_BUDGET = 10 ** 7
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 class BudgetExceededError(RuntimeError):
@@ -223,8 +225,9 @@ def centered_poisson_moment(p: float, lam: float, eps: float = 1e-12,
     The series is summed until a certified bound on the remaining tail drops
     below ``eps``.  The tail is dominated via |k - lam|^p <= k^p for k > lam
     together with a ratio test on k^p * pmf(k).  Where a power k^p leaves
-    the float range (from p of about 140 at eps 1e-12), the moment is inf:
-    no finite value is claimed.
+    the float range (from p of about 140 at eps 1e-12), the same series is
+    summed from the logarithms of its terms, and the moment is inf only where
+    it leaves the float range itself.
     """
     if p < 1:
         raise InvalidInputError("p must be >= 1")
@@ -232,6 +235,7 @@ def centered_poisson_moment(p: float, lam: float, eps: float = 1e-12,
         raise InvalidInputError("lambda must be nonnegative")
     if lam == 0:
         return (0.0, {"cutoff": 0, "tail_bound": 0.0}) if details else 0.0
+    p, lam = float(p), float(lam)  # a Python float power raises OverflowError
     total = 0.0
     pmf = math.exp(-lam)
     k = 0
@@ -253,10 +257,38 @@ def centered_poisson_moment(p: float, lam: float, eps: float = 1e-12,
             if k > 10 ** 6:
                 raise RuntimeError("moment series did not converge")
     except OverflowError:
-        total, tail_bound = math.inf, math.inf
+        total, k, tail_bound = _centered_moment_from_logs(p, lam, eps)
     if details:
         return total, {"cutoff": k, "tail_bound": tail_bound}
     return total
+
+
+def _centered_moment_from_logs(p: float, lam: float, eps: float) -> tuple:
+    """(moment, cutoff, tail bound) of centered_poisson_moment's series, each
+    term and the tail bound formed as exp of its logarithm; the moment is inf
+    once one term, and so the sum, leaves the float range."""
+    log_lam, log_pmf, log_eps = math.log(lam), -lam, math.log(eps)
+    logs = []
+    k = 0
+    while True:
+        if k != lam:
+            logs.append(p * math.log(abs(k - lam)) + log_pmf)
+            if logs[-1] > _LOG_MAX:
+                return math.inf, k, math.inf
+        log_nxt = log_pmf + log_lam - math.log(k + 1)
+        if k + 1 > lam:
+            log_ratio = p * math.log((k + 2) / (k + 1)) + log_lam - math.log(k + 2)
+            if log_ratio < 0.0:
+                log_tail = p * math.log(k + 1) + log_nxt - math.log(-math.expm1(log_ratio))
+                if log_tail <= log_eps:
+                    break
+        log_pmf = log_nxt
+        k += 1
+        if k > 10 ** 6:
+            raise RuntimeError("moment series did not converge")
+    top = max(logs)
+    log_total = top + math.log(math.fsum(math.exp(t - top) for t in logs))
+    return (math.exp(log_total) if log_total < _LOG_MAX else math.inf), k + 1, math.exp(log_tail)
 
 
 def categorical(gen: np.random.Generator, probs: np.ndarray, shape) -> np.ndarray:

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from itolab.lq import LqElement, batch_norm_q, point_space
+from itolab.lq import InvalidInputError, LqElement, batch_norm_q, point_space
 from itolab.poisson import GridPartition
 from itolab.normfuncs import norm_atom
 from itolab.prob import exact_moment, philox, centered_poisson_moment
@@ -35,6 +35,18 @@ def test_integrate_zero_process():
     grid = GridPartition(np.array([0.0, 1.0]), ("A",), np.array([0.5]))
     F = SimpleAdaptedProcess(grid, {}, ES, (1,))
     assert np.allclose(integrate_exact(build_exact_model(F, eps=1e-8)).values, 0.0)
+
+
+def test_deterministic_process_without_cells_is_the_zero_process():
+    grid = GridPartition(np.array([0.0, 1.0]), ("A",), np.array([0.5]))
+    for F in (deterministic_process(grid, {}, ES),
+              deterministic_process(grid, {}, None, (2, 3))):
+        assert F.coefficients == {}
+        integral = integrate_exact(build_exact_model(F, eps=1e-8)).values
+        assert integral.shape[1:] == ((1,) if F.elem_space else (2, 3))
+        assert not np.any(integral)
+    with pytest.raises(InvalidInputError):
+        deterministic_process(grid, {})
 
 
 def test_integrate_single_cell_is_scaled_count():

@@ -161,6 +161,26 @@ def test_centered_moment_p4_vs_mgf_oracle():
     assert centered_poisson_moment(4.0, 1.0) == pytest.approx(mu4_at_1, abs=1e-9)
 
 
+def test_centered_moment_past_the_float_range_of_k_to_the_p():
+    # E|N - 1|^p = e^-1 sum_k |k - 1|^p / k!, summed exactly over 600 terms;
+    # from p of about 140 some k^p overflows a float, up to about 219 the sum
+    # does not, and past that the moment is inf
+    from fractions import Fraction
+
+    def exact(p):
+        return float(sum(Fraction(abs(k - 1) ** p, math.factorial(k))
+                         for k in range(600))) * math.exp(-1)
+
+    for p in (100, 139, 200, 219):
+        assert centered_poisson_moment(float(p), 1.0) == pytest.approx(exact(p), rel=1e-12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # numpy scalars, as from a lambda grid, raise no overflow warning
+        assert 0 < centered_poisson_moment(np.float64(230.0), np.float64(1e-4)) < math.inf
+        assert centered_poisson_moment(np.float64(230.0), np.float64(1.0)) == math.inf
+        assert centered_poisson_moment(1e5, 0.5) == math.inf
+
+
 def test_centered_moment_truncation_bound_dominates():
     p, lam = 3.3, 0.8
     val, info = centered_poisson_moment(p, lam, eps=1e-6, details=True)
