@@ -6,8 +6,7 @@ from .lq import ExponentPair, FiniteMeasureSpace, InvalidInputError, LqElement, 
 from .prob import (BudgetExceededError, FiniteProbabilitySpace, RandomLqVariable,
                    TruncatedPoisson, centered_poisson_moment, exact_moment,
                    independent_product, philox, product_space, truncated_poisson)
-from .seqnorms import (Decomposition, LqSequence, RegimeSpec, composite_norm, norm_D,
-                       norm_S, regime_select)
+from .seqnorms import LqSequence, RegimeSpec, composite_norm, norm_D, norm_S, regime_select
 from .poisson import GridPartition, verify_poisson_moment_bounds
 from .integrator import (SimpleAdaptedProcess, build_exact_model, deterministic_process,
                          integrate_exact, process_norm, running_max_moment)

@@ -174,7 +174,7 @@ def _require_mean_zero(seq: LqSequence):
 
 
 def check_khintchine(xs: list[LqElement], p: float, q: float, *,
-                     seed: int | None = None) -> CheckReport:
+                     seed: int = 0) -> CheckReport:
     """Rademacher sums against the square functions, exact sign enumeration.
 
     q >= 2: second-moment lower bound at constant exactly 1, p-th-moment upper
@@ -195,18 +195,17 @@ def check_khintchine(xs: list[LqElement], p: float, q: float, *,
         details["lower_margin"] = lhs_2 - sq_max
         status = PASS if (ok_lower and ok_upper) else FAIL
         return CheckReport("khintchine", lhs_p, sq_max, K, EXPLICIT, status,
-                           p=p, q=q, tolerance=REL_SLACK, seed=seed, details=details)
-    inf_value = square_sum_norm(seq, q, 1e-5, seed=seed or 0)
+                           p=p, q=q, tolerance=REL_SLACK, details=details)
+    inf_value = square_sum_norm(seq, q, 1e-5, seed=seed)
     details["decomposition_infimum_upper"] = inf_value
     details["reverse_ratio"] = inf_value / lhs_q if lhs_q > 0 else 0.0
     ok_upper = lhs_2 <= inf_value + relative_slack(REL_SLACK, details, lhs_2, inf_value)
     return CheckReport("khintchine", lhs_2, inf_value, 1.0, EXPLICIT,
                        PASS if ok_upper else FAIL, p=p, q=q,
-                       tolerance=REL_SLACK, seed=seed, details=details)
+                       tolerance=REL_SLACK, details=details)
 
 
-def check_symmetrization(seq: LqSequence, p: float, q: float, *,
-                         seed: int | None = None) -> CheckReport:
+def check_symmetrization(seq: LqSequence, p: float, q: float) -> CheckReport:
     """Randomized vs plain sum moments, both constants (1/2 and 2) exact."""
     _require_mean_zero(seq)
     plain = exact_moment(seq.sum_variable(), p, q)
@@ -216,28 +215,26 @@ def check_symmetrization(seq: LqSequence, p: float, q: float, *,
     slack = relative_slack(REL_SLACK, details, plain, rand)
     ok = (rand <= 2.0 * plain + slack) and (rand >= 0.5 * plain - slack)
     return CheckReport("symmetrization", rand, plain, 2.0, EXPLICIT,
-                       PASS if ok else FAIL, p=p, q=q, tolerance=REL_SLACK, seed=seed,
-                       details=details)
+                       PASS if ok else FAIL, p=p, q=q, tolerance=REL_SLACK, details=details)
 
 
-def check_kahane(xs: list[LqElement], p: float, q: float, *, norm_exp: float = 2.0,
-                 seed: int | None = None) -> CheckReport:
+def check_kahane(xs: list[LqElement], p: float, q: float, *,
+                 norm_exp: float = 2.0) -> CheckReport:
     """Moment comparison of Rademacher sums: p-th vs q-th moment of the same
     Banach norm (exponent ``norm_exp``)."""
     m_p, m_q = rademacher_sum_moment(xs, norm_exp, (p, q))
     details = {"ratio": m_p / m_q if m_q > 0 else math.nan}
     if q <= 1:
         return CheckReport("kahane", m_p, m_q, math.nan, MEASURED, REPORT_ONLY,
-                           p=p, q=q, seed=seed, details=details)
+                           p=p, q=q, details=details)
     bound = kahane_kappa(p, q)
     ok = m_p <= bound * m_q + relative_slack(REL_SLACK, details, m_p, m_q)
     return CheckReport("kahane", m_p, m_q, bound, EXPLICIT, PASS if ok else FAIL,
-                       p=p, q=q, tolerance=REL_SLACK, seed=seed, details=details)
+                       p=p, q=q, tolerance=REL_SLACK, details=details)
 
 
 def check_rosenthal_scalar(seq: LqSequence, p: float, *,
-                           table: ConstantTable = DEFAULT_TABLE,
-                           seed: int | None = None) -> CheckReport:
+                           table: ConstantTable = DEFAULT_TABLE) -> CheckReport:
     """Scalar sums: max{(sum E|xi|^p)^(1/p), (sum E|xi|^2)^(1/2)} <= 2 * moment,
     and the p/log p upper direction (configured constant, else report-only)."""
     if p < 2:
@@ -258,11 +255,10 @@ def check_rosenthal_scalar(seq: LqSequence, p: float, *,
         status = PASS if (ok_lower and ok_upper) else FAIL
         details["upper_constant"] = c
     return CheckReport("rosenthal_scalar", rhs_max, moment, 2.0, EXPLICIT, status,
-                       p=p, q=2.0, tolerance=REL_SLACK, seed=seed, details=details)
+                       p=p, q=2.0, tolerance=REL_SLACK, details=details)
 
 
-def check_rosenthal_positive(seq: LqSequence, p: float, *,
-                             seed: int | None = None) -> CheckReport:
+def check_rosenthal_positive(seq: LqSequence, p: float) -> CheckReport:
     """Positive scalar sums: measured ratio against
     max{(sum E f^p)^(1/p), sum E f}; the constant is implicit."""
     vals = seq.values
@@ -275,13 +271,12 @@ def check_rosenthal_positive(seq: LqSequence, p: float, *,
     rhs = max(term_p, term_1)
     ratio = moment / rhs if rhs > 0 else (0.0 if moment == 0 else math.inf)
     return CheckReport("rosenthal_positive", moment, rhs, math.nan, MEASURED,
-                       REPORT_ONLY, p=p, q=1.0, seed=seed,
+                       REPORT_ONLY, p=p, q=1.0,
                        details={"ratio": ratio, "term_p": term_p, "term_sum": term_1})
 
 
 def check_hoffmann_jorgensen(seq: LqSequence, p: float, q: float, *,
-                             table: ConstantTable = DEFAULT_TABLE,
-                             seed: int | None = None) -> CheckReport:
+                             table: ConstantTable = DEFAULT_TABLE) -> CheckReport:
     """Moment vs first moment plus maximal term, scaled by p/log(2p)."""
     _require_mean_zero(seq)
     weights = seq.elem_space.weights if seq.elem_space is not None else None
@@ -293,7 +288,7 @@ def check_hoffmann_jorgensen(seq: LqSequence, p: float, q: float, *,
     denom = shape * (first + max_term)
     if lhs == 0 and denom == 0:
         return CheckReport("hoffmann_jorgensen", 0.0, 0.0, math.nan, MEASURED, PASS,
-                           p=p, q=q, seed=seed, details={"note": "degenerate 0/0"})
+                           p=p, q=q, details={"note": "degenerate 0/0"})
     details = {"first_moment": first, "max_term": max_term, "shape": shape}
     # an overflowed side has no ratio, and no verdict even when configured
     finite = math.isfinite(lhs) and math.isfinite(denom)
@@ -304,14 +299,12 @@ def check_hoffmann_jorgensen(seq: LqSequence, p: float, q: float, *,
     if table.hj_factor is not None:
         ok = finite and lhs <= table.hj_factor * denom
         return CheckReport("hoffmann_jorgensen", lhs, denom, table.hj_factor,
-                           CONFIGURED, PASS if ok else FAIL, p=p, q=q, seed=seed,
-                           details=details)
+                           CONFIGURED, PASS if ok else FAIL, p=p, q=q, details=details)
     return CheckReport("hoffmann_jorgensen", lhs, denom, math.nan, MEASURED,
-                       REPORT_ONLY, p=p, q=q, seed=seed, details=details)
+                       REPORT_ONLY, p=p, q=q, details=details)
 
 
-def check_pq_ge2_equivalence(seq: LqSequence, p: float, q: float, *,
-                             seed: int | None = None) -> CheckReport:
+def check_pq_ge2_equivalence(seq: LqSequence, p: float, q: float) -> CheckReport:
     """Two-sided moment bound for 2 <= p, q with fully explicit constants.
 
     Upper: moment <= C_{p,q} (1+sqrt2) max{S_c, S_r, C_{p/2,q/2} * little}.
@@ -338,7 +331,7 @@ def check_pq_ge2_equivalence(seq: LqSequence, p: float, q: float, *,
     ok_lower = moment >= 0.5 * rhs_lower - slack
     return CheckReport("pq_ge2", moment, rhs_upper, upper_c, EXPLICIT,
                        PASS if (ok_upper and ok_lower) else FAIL,
-                       p=p, q=q, tolerance=BOUND_SLACK, seed=seed, details=details)
+                       p=p, q=q, tolerance=BOUND_SLACK, details=details)
 
 
 def check_rosenthal_lq(seq: LqSequence, p: float, q: float, *, seed: int = 0) -> CheckReport:
@@ -383,10 +376,10 @@ def check_rosenthal_lq(seq: LqSequence, p: float, q: float, *, seed: int = 0) ->
         provenance = MEASURED
     return CheckReport("rosenthal_lq", moment, rhs, math.nan, provenance, status,
                        p=p, q=q, case_id=str(spec.case_id), tolerance=BOUND_SLACK,
-                       seed=seed, details=details)
+                       details=details)
 
 
-def check_type_cotype(xs: list[LqElement], q: float, *, seed: int | None = None) -> CheckReport:
+def check_type_cotype(xs: list[LqElement], q: float) -> CheckReport:
     """Type-min(q,2) and cotype-max(q,2) comparisons, measured envelopes only."""
     s_type = min(q, 2.0)
     s_cotype = max(q, 2.0)
@@ -396,7 +389,7 @@ def check_type_cotype(xs: list[LqElement], q: float, *, seed: int | None = None)
     type_ratio = m2 / ell_type if ell_type > 0 else 0.0
     cotype_ratio = ell_cotype / m2 if m2 > 0 else 0.0
     return CheckReport("type_cotype", m2, ell_type, math.nan, MEASURED, REPORT_ONLY,
-                       p=2.0, q=q, seed=seed,
+                       p=2.0, q=q,
                        details={"type_ratio": type_ratio, "cotype_ratio": cotype_ratio,
                                 "type_s": s_type, "cotype_s": s_cotype,
                                 "ell_cotype": ell_cotype})
@@ -406,8 +399,7 @@ def check_type_cotype(xs: list[LqElement], q: float, *, seed: int | None = None)
 
 
 def check_decoupling(F, p: float, q: float, *, table: ConstantTable = DEFAULT_TABLE,
-                     eps: float = 1e-10, tolerance: float = 1e-8,
-                     seed: int | None = None) -> CheckReport:
+                     eps: float = 1e-10, tolerance: float = 1e-8) -> CheckReport:
     """Coupled vs decoupled integral moments at the final time.
 
     Deterministic integrands have identical laws on both sides, so the ratio
@@ -425,14 +417,14 @@ def check_decoupling(F, p: float, q: float, *, table: ConstantTable = DEFAULT_TA
         ok = abs(ratio - 1.0) <= tolerance or (lhs == 0 and rhs == 0)
         return CheckReport("decoupling", lhs, rhs, 1.0, EXPLICIT,
                            PASS if ok else FAIL, p=p, q=q, tolerance=tolerance,
-                           seed=seed, details=details)
+                           details=details)
     if table.umd_constant is not None:
         ok = lhs <= table.umd_constant * rhs + relative_slack(tolerance, details, lhs, rhs)
         return CheckReport("decoupling", lhs, rhs, table.umd_constant, CONFIGURED,
                            PASS if ok else FAIL, p=p, q=q, tolerance=tolerance,
-                           seed=seed, details=details)
+                           details=details)
     return CheckReport("decoupling", lhs, rhs, math.nan, MEASURED, REPORT_ONLY,
-                       p=p, q=q, seed=seed, details=details)
+                       p=p, q=q, details=details)
 
 
 # truncation and atom budget of the exact Itô path; above it, Monte Carlo
@@ -495,7 +487,7 @@ def check_ito_isomorphism(family: list, p: float, q: float, *,
                          else "noncommutative")
     return CheckReport("ito_isomorphism", max(r_hi), min(r_lo), band, CONFIGURED,
                        PASS if ok else FAIL, p=p, q=q, case_id=str(spec.case_id),
-                       tolerance=tol, seed=seed,
+                       tolerance=tol,
                        details={"ratio_band": ratio_band, "members": members,
                                 "scale_invariance_gap": inv_gap})
 
@@ -514,7 +506,7 @@ def check_doob(F, p: float, q: float, *, n_samples: int = 4000, seed: int = 0) -
     widen = 3.0 * (res["ci_half"] + p_prime * res["terminal_ci_half"])
     ok = lhs <= rhs + widen
     return CheckReport("doob", lhs, rhs, p_prime, EXPLICIT, PASS if ok else FAIL,
-                       p=p, q=q, tolerance=widen, seed=seed,
+                       p=p, q=q, tolerance=widen,
                        details={"running_max": res["estimate"], "terminal": res["terminal"],
                                 "ci_half": res["ci_half"],
                                 "terminal_ci_half": res["terminal_ci_half"],

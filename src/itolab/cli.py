@@ -31,8 +31,7 @@ def _run_job(run, job: dict, idx: int, cfg: ExperimentConfig) -> list[CheckRepor
     elapsed = (time.perf_counter() - t0) * 1000.0 / max(len(out), 1)
     for r in out:
         r.runtime_ms = elapsed
-        if r.seed is None:
-            r.seed = cfg.seed
+        r.seed = cfg.seed
     return out
 
 

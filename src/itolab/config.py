@@ -48,14 +48,13 @@ def _reject_unknown(obj: dict, allowed: set, where: str, required=()):
 
 @dataclass(eq=False)
 class ExperimentConfig:
-    """Typed top-level keys, the jobs as written, and each job's (runner, typed job)."""
+    """Typed top-level keys and each job's (runner, typed job)."""
 
     seed: int
     mode: str
     samples: int
     record_runtime: bool
     constants: ConstantTable
-    checks: list
     jobs: list
 
 
@@ -82,7 +81,7 @@ def parse_config(raw: dict, base_dir: str = ".") -> ExperimentConfig:
     top = {k: KINDS[k](raw.get(k, v), k) for k, v in _TOP_DEFAULTS.items()}
     checks = _list(raw.get("checks", []), "checks", empty_ok=True)
     jobs = [resolve_check(job, f"checks[{i}]", base_dir) for i, job in enumerate(checks)]
-    return ExperimentConfig(**top, checks=checks, jobs=jobs)
+    return ExperimentConfig(**top, jobs=jobs)
 
 
 # -- key kinds: kind(value, key, check id, base_dir) -> typed value ----------------
@@ -330,33 +329,31 @@ CHECKS = {
         {"p": 4.0, "q": 2.0, "norm_exp": 2.0, "n_items": 4, "element": SCALAR_ELEMENT,
          "instances": 3},
         _swept(("p", "q"), _elements, lambda job, cfg, xs, p, q: C.check_kahane(
-            xs, p, q, norm_exp=job["norm_exp"], seed=cfg.seed))),
+            xs, p, q, norm_exp=job["norm_exp"]))),
     "symmetrization": (_SEQUENCE_KEYS, _swept(
-        ("p", "q"), _sequence, lambda job, cfg, seq, p, q: C.check_symmetrization(
-            seq, p, q, seed=cfg.seed))),
+        ("p", "q"), _sequence, lambda job, cfg, seq, p, q: C.check_symmetrization(seq, p, q))),
     "hoffmann_jorgensen": (_SEQUENCE_KEYS, _swept(
         ("p", "q"), _sequence, lambda job, cfg, seq, p, q: C.check_hoffmann_jorgensen(
-            seq, p, q, table=cfg.constants, seed=cfg.seed))),
+            seq, p, q, table=cfg.constants))),
     "rosenthal_lq": (_SEQUENCE_KEYS, _swept(
         ("p", "q"), _sequence, lambda job, cfg, seq, p, q: C.check_rosenthal_lq(
             seq, p, q, seed=cfg.seed))),
     "pq_ge2": (_SEQUENCE_KEYS, _swept(
         ("p", "q"), _sequence, lambda job, cfg, seq, p, q: C.check_pq_ge2_equivalence(
-            seq, p, q, seed=cfg.seed))),
+            seq, p, q))),
     "rosenthal_scalar": (
         {"p": 3.0, "n_items": 4, "n_atoms": 2, "instances": 5},
         _swept(("p",), lambda gen, job: _sequence(gen, job, SCALAR_ELEMENT),
                lambda job, cfg, seq, p: C.check_rosenthal_scalar(
-                   seq, p, table=cfg.constants, seed=cfg.seed))),
+                   seq, p, table=cfg.constants))),
     "rosenthal_positive": (
         {"p": 3.0, "n_items": 4, "n_atoms": 2, "instances": 3},
         _swept(("p",), lambda gen, job: random_positive_sequence(
             gen, job["n_items"], job["n_atoms"]),
-            lambda job, cfg, seq, p: C.check_rosenthal_positive(seq, p, seed=cfg.seed))),
+            lambda job, cfg, seq, p: C.check_rosenthal_positive(seq, p))),
     "type_cotype": (
         {"q": 3.0, "n_items": 4, "element": SCALAR_ELEMENT, "instances": 3},
-        _swept(("q",), _elements, lambda job, cfg, xs, q: C.check_type_cotype(
-            xs, q, seed=cfg.seed))),
+        _swept(("q",), _elements, lambda job, cfg, xs, q: C.check_type_cotype(xs, q))),
     "poisson_moment_bounds": (
         {"p": [2, 3, 4], "lambda_grid": {}, "eps": 1e-12},
         lambda job, idx, cfg: verify_poisson_moment_bounds(
@@ -365,7 +362,7 @@ CHECKS = {
         {"p": 2.0, "q": 2.0, "process": REQUIRED, "eps": 1e-10},
         _fixed(("p", "q"), lambda job: job["process"],
                lambda job, cfg, F, p, q: C.check_decoupling(
-                   F, p, q, table=cfg.constants, eps=job["eps"], seed=cfg.seed))),
+                   F, p, q, table=cfg.constants, eps=job["eps"]))),
     "doob": (
         {"p": 2.0, "q": 2.0, "process": REQUIRED, "n_samples": None},
         _fixed(("p", "q"), lambda job: job["process"],

@@ -218,16 +218,26 @@ def truncated_poisson(lam: float, eps: float) -> TruncatedPoisson:
     return TruncatedPoisson(lam, k, probs, max(1.0 - cum, 0.0))
 
 
+def _power_times(x: float, p: float, factor: float, log_factor: float) -> float:
+    """x^p * factor, as exp(p log x + log factor) where x^p leaves the float
+    range; inf where the product does too."""
+    try:
+        return x ** p * factor
+    except OverflowError:
+        t = p * math.log(x) + log_factor
+        return math.exp(t) if t < _LOG_MAX else math.inf
+
+
 def centered_poisson_moment(p: float, lam: float, eps: float = 1e-12,
                             details: bool = False):
     """E|N - lambda|^p for N ~ Poisson(lambda), truncated series.
 
     The series is summed until a certified bound on the remaining tail drops
     below ``eps``.  The tail is dominated via |k - lam|^p <= k^p for k > lam
-    together with a ratio test on k^p * pmf(k).  Where a power k^p leaves
-    the float range (from p of about 140 at eps 1e-12), the same series is
-    summed from the logarithms of its terms, and the moment is inf only where
-    it leaves the float range itself.
+    together with a ratio test on k^p * pmf(k).  A term whose power leaves
+    the float range (from p of about 140 at eps 1e-12) is formed from its
+    logarithm, and the moment is inf only where the sum leaves the float
+    range itself; its tail bound is then inf too.
     """
     if p < 1:
         raise InvalidInputError("p must be >= 1")
@@ -237,58 +247,30 @@ def centered_poisson_moment(p: float, lam: float, eps: float = 1e-12,
         return (0.0, {"cutoff": 0, "tail_bound": 0.0}) if details else 0.0
     p, lam = float(p), float(lam)  # a Python float power raises OverflowError
     total = 0.0
-    pmf = math.exp(-lam)
+    pmf, log_pmf, log_lam = math.exp(-lam), -lam, math.log(lam)
     k = 0
     tail_bound = math.inf
-    try:
-        while True:
-            total += abs(k - lam) ** p * pmf
-            nxt = pmf * lam / (k + 1)
-            if k + 1 > lam:
-                # ratio of consecutive k^p * pmf(k) terms, decreasing from here on
-                ratio = ((k + 2) / (k + 1)) ** p * lam / (k + 2)
-                if ratio < 1.0:
-                    tail_bound = (k + 1) ** p * nxt / (1.0 - ratio)
-                    if tail_bound <= eps:
-                        k += 1
-                        break
-            pmf = nxt
-            k += 1
-            if k > 10 ** 6:
-                raise RuntimeError("moment series did not converge")
-    except OverflowError:
-        total, k, tail_bound = _centered_moment_from_logs(p, lam, eps)
-    if details:
-        return total, {"cutoff": k, "tail_bound": tail_bound}
-    return total
-
-
-def _centered_moment_from_logs(p: float, lam: float, eps: float) -> tuple:
-    """(moment, cutoff, tail bound) of centered_poisson_moment's series, each
-    term and the tail bound formed as exp of its logarithm; the moment is inf
-    once one term, and so the sum, leaves the float range."""
-    log_lam, log_pmf, log_eps = math.log(lam), -lam, math.log(eps)
-    logs = []
-    k = 0
     while True:
-        if k != lam:
-            logs.append(p * math.log(abs(k - lam)) + log_pmf)
-            if logs[-1] > _LOG_MAX:
-                return math.inf, k, math.inf
-        log_nxt = log_pmf + log_lam - math.log(k + 1)
+        total += _power_times(abs(k - lam), p, pmf, log_pmf)
+        if total == math.inf:
+            tail_bound = math.inf
+            break
+        nxt, log_nxt = pmf * lam / (k + 1), log_pmf + log_lam - math.log(k + 1)
         if k + 1 > lam:
-            log_ratio = p * math.log((k + 2) / (k + 1)) + log_lam - math.log(k + 2)
-            if log_ratio < 0.0:
-                log_tail = p * math.log(k + 1) + log_nxt - math.log(-math.expm1(log_ratio))
-                if log_tail <= log_eps:
+            # ratio of consecutive k^p * pmf(k) terms, decreasing from here on
+            ratio = _power_times((k + 2) / (k + 1), p, lam, log_lam) / (k + 2)
+            if ratio < 1.0:
+                tail_bound = _power_times(k + 1, p, nxt, log_nxt) / (1.0 - ratio)
+                if tail_bound <= eps:
+                    k += 1
                     break
-        log_pmf = log_nxt
+        pmf, log_pmf = nxt, log_nxt
         k += 1
         if k > 10 ** 6:
             raise RuntimeError("moment series did not converge")
-    top = max(logs)
-    log_total = top + math.log(math.fsum(math.exp(t - top) for t in logs))
-    return (math.exp(log_total) if log_total < _LOG_MAX else math.inf), k + 1, math.exp(log_tail)
+    if details:
+        return total, {"cutoff": k, "tail_bound": tail_bound}
+    return total
 
 
 def categorical(gen: np.random.Generator, probs: np.ndarray, shape) -> np.ndarray:

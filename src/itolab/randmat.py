@@ -250,7 +250,7 @@ def bound_matrix_sum(ens: MatrixEnsemble, p: float, *, n_samples: int = 10_000,
     ok = ok_upper and ok_rev_max and ok_rev_square
     return CheckReport("matrix_sum", lhs, rhs, 2.0 * (1.0 + math.sqrt(2.0)) * cpd,
                        EXPLICIT, PASS if ok else FAIL, p=p, q=None,
-                       tolerance=BOUND_SLACK, seed=seed, details=details)
+                       tolerance=BOUND_SLACK, details=details)
 
 
 def _entry_max_moment(ens: MatrixEnsemble, p: float, n_samples: int, seed: int):
@@ -288,7 +288,7 @@ def bound_entry_matrix(ens: MatrixEnsemble, p: float, *, n_samples: int = 10_000
     ok = lhs - lhs_ci <= rhs + constant * 2.0 * cpd_half * 3.0 * emax_ci + slack
     return CheckReport("matrix_entries", lhs, rhs, constant, EXPLICIT,
                        PASS if ok else FAIL, p=p, q=None, tolerance=BOUND_SLACK,
-                       seed=seed, details=details)
+                       details=details)
 
 
 def bound_latala(ens: MatrixEnsemble, p: float, *, n_samples: int = 10_000,
@@ -302,7 +302,7 @@ def bound_latala(ens: MatrixEnsemble, p: float, *, n_samples: int = 10_000,
         raise InvalidInputError("Latala's bound needs an entrywise ensemble")
     if not ens.law.fourth_finite:
         return CheckReport("latala", math.nan, math.nan, math.nan, MEASURED,
-                           REPORT_ONLY, p=p, q=None, seed=seed,
+                           REPORT_ONLY, p=p, q=None,
                            details={"note": "inapplicable: fourth moment flagged infinite"})
     r_col, r_row = _square_terms(ens)
     fourth = float((ens.law.abs_moment(4.0) * ens.scale_matrix ** 4).sum()) ** 0.25
@@ -321,9 +321,9 @@ def bound_latala(ens: MatrixEnsemble, p: float, *, n_samples: int = 10_000,
         c = table.latala_constant
         ok = first <= c * base and lhs_p <= c * moment_rhs
         return CheckReport("latala", first, base, c, CONFIGURED,
-                           PASS if ok else FAIL, p=p, q=None, seed=seed, details=details)
+                           PASS if ok else FAIL, p=p, q=None, details=details)
     return CheckReport("latala", first, base, math.nan, MEASURED, REPORT_ONLY,
-                       p=p, q=None, seed=seed, details=details)
+                       p=p, q=None, details=details)
 
 
 def seginer_ensemble(a: np.ndarray, p: float, *, n_samples: int = 10_000,
@@ -342,6 +342,6 @@ def seginer_ensemble(a: np.ndarray, p: float, *, n_samples: int = 10_000,
     note = ("p beyond the stated range; recorded anyway"
             if p > 2.0 * math.log(max(d1, d2, 2)) else "")
     return CheckReport("seginer", lhs, base, math.nan, MEASURED, REPORT_ONLY,
-                       p=p, q=None, seed=seed,
+                       p=p, q=None,
                        details={"ratio": ratio, "normalized": ratio / ref,
                                 "log_quarter": ref, "monte_carlo": mc, "note": note})

@@ -17,7 +17,7 @@ low-dimensional instances (``tests/oracles.py``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -132,7 +132,6 @@ class RegimeSpec:
     case_id: int
     p: float
     q: float
-    mode: str
     tree: NormExpr
 
 
@@ -162,35 +161,16 @@ def regime_select(p: float, q: float, mode: str = "commutative") -> RegimeSpec:
         case, tree = 5, _sum(*S, _max(dqq, dpq))
     else:
         case, tree = 6, _sum(*S, dqq, dpq)
-    return RegimeSpec(case, p, q, mode, tree)
+    return RegimeSpec(case, p, q, tree)
 
 
 # -- composite evaluation ------------------------------------------------------
 
 
 @dataclass(eq=False)
-class Decomposition:
-    """Parts of a sum-norm decomposition, summing itemwise to the target."""
-
-    target: LqSequence
-    parts: list[LqSequence]
-    labels: tuple
-
-    def residual(self) -> float:
-        total = sum(p.values for p in self.parts)
-        scale = max(float(np.abs(self.target.values).max()), 1e-300)
-        return float(np.abs(total - self.target.values).max()) / scale
-
-    def validate(self):
-        if self.residual() > 1e-9:
-            raise InvalidInputError("decomposition does not reconstruct the target")
-
-
-@dataclass(eq=False)
 class CompositeResult:
     value: float
-    certificate: Decomposition | None
-    node_values: dict = field(default_factory=dict)
+    node_values: dict
 
 
 def sequence_atom(name: str, seq: LqSequence, p: float, q: float) -> NormFunctional:
@@ -214,12 +194,10 @@ def evaluate_tree(tree: NormExpr, atom, table: np.ndarray, tol: float, *,
     ``atom(name)``.  Intersections are exact maxima; sums are optimized
     decompositions (upper bounds on the infimum).
 
-    Returns (value, {node label: value}, [(sum node, DecompositionResult)]
-    in evaluation order).
+    Returns (value, {node label: value}).
     """
     rel_tol = min(1e-7, tol / 10.0)
     node_values: dict = {}
-    sums: list = []
 
     def eval_node(node: NormExpr) -> float:
         if node.op == "atom":
@@ -228,31 +206,22 @@ def evaluate_tree(tree: NormExpr, atom, table: np.ndarray, tol: float, *,
             v = max(eval_node(c) for c in node.children)
         else:
             funcs = [node_functional(c, atom) for c in node.children]
-            res = minimize_decomposition(table, funcs, restarts=restarts,
-                                         max_iter=max_iter, rel_tol=rel_tol, seed=seed)
-            sums.append((node, res))
-            v = res.value
+            v = minimize_decomposition(table, funcs, restarts=restarts, max_iter=max_iter,
+                                       rel_tol=rel_tol, seed=seed).value
         node_values[node.label()] = v
         return v
 
-    return eval_node(tree), node_values, sums
+    return eval_node(tree), node_values
 
 
 def composite_norm(seq: LqSequence, spec: RegimeSpec, tol: float = 1e-6, *,
                    restarts: int = 8, max_iter: int = 5000, seed: int = 0) -> CompositeResult:
     """Evaluate the regime tree on the sequence (see ``evaluate_tree``); sums
     come within ``tol`` relative of the brute-force oracle on small
-    instances.  The first sum's decomposition is the certificate."""
-    value, node_values, sums = evaluate_tree(
+    instances."""
+    return CompositeResult(*evaluate_tree(
         spec.tree, lambda name: sequence_atom(name, seq, spec.p, spec.q), seq.values,
-        tol, restarts=restarts, max_iter=max_iter, seed=seed)
-    cert = None
-    if sums:
-        node, res = sums[0]
-        parts = [LqSequence(seq.space, part, seq.elem_space) for part in res.parts]
-        cert = Decomposition(seq, parts, tuple(c.label() for c in node.children))
-        cert.validate()
-    return CompositeResult(value, cert, node_values)
+        tol, restarts=restarts, max_iter=max_iter, seed=seed))
 
 
 def square_sum_norm(seq: LqSequence, q: float, tol: float, *, restarts: int = 8,
@@ -262,6 +231,6 @@ def square_sum_norm(seq: LqSequence, q: float, tol: float, *, restarts: int = 8,
     and the infimum is S_c itself.  p does not enter the sequence S atoms."""
     if seq.kind == "commutative":
         return norm_S(seq, q, "column")
-    spec = RegimeSpec(0, 2.0, q, "noncommutative", _sum(_atom("S_c"), _atom("S_r")))
+    spec = RegimeSpec(0, 2.0, q, _sum(_atom("S_c"), _atom("S_r")))
     return composite_norm(seq, spec, tol, restarts=restarts, max_iter=max_iter,
                           seed=seed).value

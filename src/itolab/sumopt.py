@@ -29,9 +29,7 @@ from .prob import philox
 
 
 class OptimizerError(RuntimeError):
-    def __init__(self, message: str, best_value: float):
-        super().__init__(message)
-        self.best_value = best_value
+    """The sum-norm optimizer ended without a finite value on any restart."""
 
 
 class NormFunctional:
@@ -199,8 +197,7 @@ def minimize_decomposition(target: np.ndarray, funcs: list[NormFunctional], *,
         if f_out[r] < f_best:
             f_best, X_best, converged = float(f_out[r]), X_out[r], bool(conv_out[r])
     if not math.isfinite(f_best):
-        raise OptimizerError("sum-norm optimizer failed to produce a finite value",
-                             best_value=f_best)
+        raise OptimizerError("sum-norm optimizer failed to produce a finite value")
     parts = [X_best[j] * scale for j in range(k - 1)]
     parts.append(target - sum(parts))
     return DecompositionResult(f_best * scale, parts, int(it_out.sum()), converged)

@@ -1,5 +1,7 @@
-"""Two scans of ``src/itolab``: every defaulted parameter of a function is set
-by some call, and every definition is reached from what a verdict runs.
+"""Scans of ``src/itolab``: every defaulted parameter of a function is set by
+some call, every definition is reached from what a verdict runs, every moment
+goes through one power mean, every field is read, and no report is built
+with a seed.
 
 A default that no call overrides is a configuration nothing selects; it
 belongs in the function body as a constant.  The scan walks the definitions
@@ -250,3 +252,73 @@ def test_moments_go_through_power_mean():
     moments = powers("checks", _is_moment_exponent) | powers("randmat", _is_moment_exponent)
     assert moments == KEEP_OWN_POWERS
     assert powers("lq", _reads_an_argument) == {"power_mean"}
+
+
+# -- every field is read -------------------------------------------------------------
+#
+# A dataclass field or a ``self.`` attribute of ``src/itolab`` that nothing reads
+# holds a value for no one.  A read is an attribute access (not an assignment)
+# in ``src``, ``scripts`` or ``perfbench``, or a string of the field's name, the
+# way ``cli.CSV_COLUMNS`` reads the report's fields; tests do not count.  The
+# scan matches by name only, so a field is seen as read when any attribute of
+# that name is: it cannot find an unread ``mode`` or ``checks`` field while
+# other classes have a read attribute of that name.
+
+READERS = ("src", "scripts", "perfbench")
+
+
+def _is_dataclass(cls) -> bool:
+    return any(_callee(d.func if isinstance(d, ast.Call) else d) == "dataclass"
+               for d in cls.decorator_list)
+
+
+def defined_fields() -> set[str]:
+    """``Class.name`` of every dataclass field and ``self.`` attribute of ``src/itolab``."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            if _is_dataclass(cls):
+                found |= {f"{cls.name}.{s.target.id}" for s in cls.body
+                          if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)}
+            found |= {f"{cls.name}.{n.attr}" for n in ast.walk(cls)
+                      if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+                      and isinstance(n.value, ast.Name) and n.value.id == "self"}
+    return found
+
+
+def read_names() -> set[str]:
+    """Names read as an attribute, or written as a string, in the readers."""
+    names = set()
+    for top in READERS:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            for n in ast.walk(ast.parse(path.read_text())):
+                if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+                    names.add(n.attr)
+                elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+                    names.add(n.value)
+    return names
+
+
+def unread_fields() -> list[str]:
+    read = read_names()
+    return sorted(f for f in defined_fields() if f.split(".")[1] not in read)
+
+
+def test_every_field_is_read():
+    assert unread_fields() == []
+
+
+# -- one source for a report's seed ---------------------------------------------------
+#
+# ``cli._run_job`` writes the config's seed on every row, so no checker passes
+# one to ``CheckReport``.
+
+
+def test_no_report_is_built_with_a_seed():
+    passing = [f"{path.stem}:{n.lineno}" for path in sorted(SRC.glob("*.py"))
+               for n in ast.walk(ast.parse(path.read_text()))
+               if isinstance(n, ast.Call) and _callee(n.func) == "CheckReport"
+               and any(k.arg in ("seed", None) for k in n.keywords)]
+    assert passing == []

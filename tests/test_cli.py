@@ -189,6 +189,37 @@ def test_type_cotype_rows_are_pinned():
                     (3.0, 4.636902889744171), (3.0, 3.1753146262991168)]
 
 
+# one small job of each check id; khintchine at q < 2 and type_cotype are in
+# no default battery or benchmark workload
+_ONE_JOB_EACH = {
+    "khintchine": {"q": 1.5, "n_items": 2, "instances": 1},
+    "kahane": {"n_items": 2, "instances": 1},
+    "symmetrization": {"n_items": 2, "instances": 1},
+    "hoffmann_jorgensen": {"n_items": 2, "instances": 1},
+    "rosenthal_lq": {"p": 3.0, "q": 2.5, "n_items": 2, "instances": 1},
+    "pq_ge2": {"n_items": 2, "instances": 1},
+    "rosenthal_scalar": {"n_items": 2, "instances": 1},
+    "rosenthal_positive": {"n_items": 2, "instances": 1},
+    "type_cotype": {"n_items": 2, "instances": 1},
+    "poisson_moment_bounds": {"p": 2},
+    "decoupling": {"process": _ONE_CELL},
+    "doob": {"process": _ONE_CELL, "n_samples": 200},
+    "ito_isomorphism": {"family": [_ONE_CELL]},
+    "matrix_sum": {"n": 2},
+    "matrix_entries": {"n_samples": 200},
+    "latala": {"n_samples": 200},
+    "seginer": {"d": 2},
+}
+
+
+def test_the_runner_writes_the_config_seed_on_every_row():
+    cfg = parse_config({"version": 1, "seed": 3, "checks": [
+        {"check": cid, **job} for cid, job in _ONE_JOB_EACH.items()]})
+    rows = run_jobs(cfg)
+    assert set(_ONE_JOB_EACH) == set(CHECKS) == {r.check_id for r in rows}
+    assert [r.seed for r in rows] == [3] * len(rows)
+
+
 def test_failure_exit_code(tmp_path):
     # an absurdly tight configured band forces a hard failure
     cfg = tmp_path / "fail.json"
@@ -533,7 +564,7 @@ def test_emit_sorts_failures_first(tmp_path):
 def test_default_batteries_parse():
     for name, jobs in DEFAULT_BATTERIES.items():
         cfg = parse_config({"version": 1, "checks": jobs})
-        assert cfg.checks == jobs
+        assert len(cfg.jobs) == len(jobs)
 
 
 def test_process_from_table_file_reference(tmp_path):

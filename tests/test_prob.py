@@ -179,6 +179,9 @@ def test_centered_moment_past_the_float_range_of_k_to_the_p():
         assert 0 < centered_poisson_moment(np.float64(230.0), np.float64(1e-4)) < math.inf
         assert centered_poisson_moment(np.float64(230.0), np.float64(1.0)) == math.inf
         assert centered_poisson_moment(1e5, 0.5) == math.inf
+    # an inf moment has an inf tail bound
+    moment, info = centered_poisson_moment(220.0, 1.0, details=True)
+    assert moment == info["tail_bound"] == math.inf
 
 
 def test_centered_moment_truncation_bound_dominates():

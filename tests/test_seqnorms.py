@@ -93,7 +93,7 @@ def test_regime_boundary_coincidence_p2q2():
             rep = {1: (3.0, 2.5), 2: (2.5, 3.0), 3: (1.5, 3.0),
                    4: (3.0, 1.5), 5: (1.8, 1.5), 6: (1.5, 1.8)}[case_id]
             tree = regime_select(*rep).tree
-            spec = RegimeSpec(case_id, 2.0, 2.0, "commutative", tree)
+            spec = RegimeSpec(case_id, 2.0, 2.0, tree)
             values.append(composite_norm(seq, spec, tol=1e-6, seed=1).value)
     ref = values[0]
     for v in values[1:]:
@@ -105,8 +105,6 @@ def test_composite_zero_sequence():
     spec = regime_select(1.5, 1.8)
     res = composite_norm(seq, spec)
     assert res.value == 0.0
-    assert res.certificate is not None
-    assert res.certificate.residual() == 0.0
 
 
 def test_composite_pure_intersection_is_max():
@@ -116,7 +114,6 @@ def test_composite_pure_intersection_is_max():
     res = composite_norm(seq, spec)
     expected = max(norm_S(seq, 2.5), norm_D(seq, 2.5, 2.5), norm_D(seq, 3.0, 2.5))
     assert res.value == pytest.approx(expected, rel=1e-12)
-    assert res.certificate is None
 
 
 def test_composite_two_norm_toy_vs_grid():
@@ -126,7 +123,7 @@ def test_composite_two_norm_toy_vs_grid():
     vals = np.array([[[1.0, 0.25]]], dtype=complex)
     seq = LqSequence(one, vals, es)
     tree = NormExpr("sum", None, (NormExpr("atom", "D_qq"), NormExpr("atom", "D_pq")))
-    spec = RegimeSpec(0, 4.0, 1.2, "commutative", tree)
+    spec = RegimeSpec(0, 4.0, 1.2, tree)
     res = composite_norm(seq, spec, tol=1e-5, seed=2)
     assert res.value <= min(norm_D(seq, 1.2, 1.2), norm_D(seq, 4.0, 1.2)) + 1e-9
     bf = brute_force_sum_norm(seq, spec)
@@ -139,8 +136,8 @@ def test_composite_monotone_in_summands():
     two = NormExpr("sum", None, (NormExpr("atom", "S"), NormExpr("atom", "D_pq")))
     three = NormExpr("sum", None, (NormExpr("atom", "S"), NormExpr("atom", "D_qq"),
                                    NormExpr("atom", "D_pq")))
-    v2 = composite_norm(seq, RegimeSpec(0, 2.5, 1.5, "commutative", two), seed=4).value
-    v3 = composite_norm(seq, RegimeSpec(0, 2.5, 1.5, "commutative", three), seed=4).value
+    v2 = composite_norm(seq, RegimeSpec(0, 2.5, 1.5, two), seed=4).value
+    v3 = composite_norm(seq, RegimeSpec(0, 2.5, 1.5, three), seed=4).value
     assert v3 <= v2 * (1 + 1e-3)
 
 
@@ -174,12 +171,12 @@ def test_composite_exact_power_of_two_homogeneity():
 def test_brute_force_trivial_cases():
     seq = scalar_seq([[0.0, 0.0]])
     tree = NormExpr("sum", None, (NormExpr("atom", "D_qq"), NormExpr("atom", "D_pq")))
-    spec = RegimeSpec(0, 2.5, 1.5, "commutative", tree)
+    spec = RegimeSpec(0, 2.5, 1.5, tree)
     assert brute_force_sum_norm(seq, spec) == 0.0
     # X + Y with X = Y: splitting cannot beat the single norm
     seq2 = scalar_seq([[1.0, -0.5]])
     tree_same = NormExpr("sum", None, (NormExpr("atom", "D_pq"), NormExpr("atom", "D_pq")))
-    spec2 = RegimeSpec(0, 2.5, 1.5, "commutative", tree_same)
+    spec2 = RegimeSpec(0, 2.5, 1.5, tree_same)
     assert brute_force_sum_norm(seq2, spec2) == pytest.approx(
         norm_D(seq2, 2.5, 1.5), rel=1e-6)
 
