@@ -16,7 +16,7 @@ import numpy as np
 
 from . import integrator
 from .lq import InvalidInputError, LqElement, batch_norm_q, conjugate_exponent, power_mean
-from .prob import BudgetExceededError, exact_moment, moment_ci, sign_matrix
+from .prob import BudgetExceededError, exact_moment, law_moment, sign_matrix
 from .report import (CONFIGURED, EXPLICIT, FAIL, MEASURED, NOT_FINITE, PASS,
                      REPORT_ONLY, CheckReport)
 from .seqnorms import (LqSequence, composite_norm, norm_D, norm_S, regime_select,
@@ -442,8 +442,7 @@ def _ito_member(F, p: float, q: float, tol: float, n_samples: int, seed: int,
     except BudgetExceededError:
         model = None
         norms = integrator.sample_paths(F, q, n_samples, seed, stream=stream)
-        moment, ci = moment_ci(norms[:, -1], p)
-        ci *= 3.0
+        moment, ci = law_moment(norms[:, -1], None, p)
     value = integrator.process_norm(F, p, q, tol, model=model, restarts=CHECK_RESTARTS,
                                     max_iter=CHECK_MAX_ITER, seed=seed)
     return moment, ci, model is None, value
@@ -473,13 +472,14 @@ def check_ito_isomorphism(family: list, p: float, q: float, *,
         r_hi.append((moment + ci) / value if value > 0 else math.inf)
     band = table.ito_band
     ratio_band = max(r_hi) / min(r_lo) if 0 < min(r_lo) < math.inf else math.inf
-    # scale invariance of the first member: R(32 F_0) on its own table, left to
-    # process_norm's own normalisation; its grid fits the budget as member 0's
-    # did.  A zero F_0 (R = inf) is skipped; a zero family's band is inf
+    # scale invariance of the first member: R of 32 times its rescaled table;
+    # its grid fits the budget as member 0's did.  A zero F_0 (R = inf) is
+    # skipped; a zero family's band is inf
     F0 = family[0]
     inv_gap = 0.0
     if F0.is_deterministic and not members[0]["monte_carlo"] and members[0]["norm"] > 0:
-        mom, _, _, val = _ito_member(F0.scaled(32.0), p, q, tol, n_samples, seed, 0)
+        mom, _, _, val = _ito_member(F0.scaled(32.0 / pow2_scale(F0.max_abs())), p, q, tol,
+                                     n_samples, seed, 0)
         r1, r2 = members[0]["R"], mom / val
         inv_gap = abs(r1 - r2) / max(abs(r1), 1e-300)
     ok = ratio_band <= band and inv_gap <= 1e-12
@@ -497,17 +497,14 @@ def check_doob(F, p: float, q: float, *, n_samples: int = 4000, seed: int = 0) -
     terminal moment.
 
     Statistical: both sides are estimated from the same paths and the
-    threshold is widened by 3 CI half-widths.
+    threshold is widened by their 3-sigma CI half-widths.
     """
-    res = integrator.running_max_moment(F, p, q, n_samples, seed)
+    (lhs, ci), (terminal, terminal_ci) = integrator.running_max_moment(F, p, q, n_samples, seed)
     p_prime = conjugate_exponent(p)
-    lhs = res["estimate"]
-    rhs = p_prime * res["terminal"]
-    widen = 3.0 * (res["ci_half"] + p_prime * res["terminal_ci_half"])
+    rhs = p_prime * terminal
+    widen = ci + p_prime * terminal_ci
     ok = lhs <= rhs + widen
     return CheckReport("doob", lhs, rhs, p_prime, EXPLICIT, PASS if ok else FAIL,
                        p=p, q=q, tolerance=widen,
-                       details={"running_max": res["estimate"], "terminal": res["terminal"],
-                                "ci_half": res["ci_half"],
-                                "terminal_ci_half": res["terminal_ci_half"],
-                                "n_samples": n_samples})
+                       details={"running_max": lhs, "terminal": terminal, "ci_half": ci,
+                                "terminal_ci_half": terminal_ci, "n_samples": n_samples})

@@ -133,7 +133,7 @@ def _exponents(v, key: str, cid: str, *_) -> list:
                   + ("above 1" if floor is None else f"of at least {floor:g}"))
           for x in (v if isinstance(v, list) and v else [v])]
     for x in xs:
-        ExponentPair(x, x, allow_p_one=floor is not None, allow_q_one=floor is not None)
+        ExponentPair(x, x, allow_one=floor is not None)
     return xs
 
 

@@ -43,7 +43,7 @@ import numpy as np
 from .lq import FiniteMeasureSpace, InvalidInputError, LqElement, batch_norm_q
 from .normfuncs import norm_atom
 from .poisson import GridPartition
-from .prob import (ProductSpace, RandomLqVariable, moment_ci, philox, product_space,
+from .prob import (ProductSpace, RandomLqVariable, law_moment, philox, product_space,
                    truncated_poisson)
 from .seqnorms import evaluate_tree, regime_select
 
@@ -227,19 +227,15 @@ def sample_paths(F: SimpleAdaptedProcess, q: float, n_samples: int, seed: int,
 
 
 def running_max_moment(F: SimpleAdaptedProcess, p: float, q: float,
-                       n_samples: int, seed: int) -> dict:
-    """Monte Carlo (E sup_s ||int_(0,s]||_q^p)^(1/p) with a CI half-width.
+                       n_samples: int, seed: int) -> tuple:
+    """Monte Carlo (E sup_s ||int_(0,s]||_q^p)^(1/p) and the terminal moment,
+    each with its 3-sigma CI half-width, from the same paths.
 
     The supremum runs over grid breakpoints, which is exact because the
-    integral path is a step function in s.  The terminal moment estimate and
-    its CI come from the same paths.
+    integral path is a step function in s.
     """
     norms = sample_paths(F, q, n_samples, seed)
-    sup_est, sup_ci = moment_ci(norms.max(axis=1), p)
-    term_est, term_ci = moment_ci(norms[:, -1], p)
-    return {"estimate": sup_est, "ci_half": sup_ci,
-            "terminal": term_est, "terminal_ci_half": term_ci,
-            "n_samples": n_samples}
+    return law_moment(norms.max(axis=1), None, p), law_moment(norms[:, -1], None, p)
 
 
 # -- process norms -------------------------------------------------------------

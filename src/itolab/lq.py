@@ -101,18 +101,16 @@ class ExponentPair:
     """Moment exponent p and space exponent q, both finite.
 
     The default range is 1 < p, q < inf; the one-sided results permit
-    p = 1 or q = 1, opted in via the flags.
+    p = 1 and q = 1, opted in via the flag.
     """
 
     p: float
     q: float
-    allow_p_one: bool = False
-    allow_q_one: bool = False
+    allow_one: bool = False
 
     def __post_init__(self):
-        lo_p = 1.0 if self.allow_p_one else 1.0 + 1e-12
-        lo_q = 1.0 if self.allow_q_one else 1.0 + 1e-12
-        if not (lo_p <= self.p < math.inf and lo_q <= self.q < math.inf):
+        lo = 1.0 if self.allow_one else 1.0 + 1e-12
+        if not (lo <= self.p < math.inf and lo <= self.q < math.inf):
             raise InvalidInputError(f"exponents out of range: p={self.p}, q={self.q}")
 
 

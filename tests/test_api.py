@@ -208,11 +208,12 @@ def test_every_traced_target_exists():
 # -- one power mean ----------------------------------------------------------------
 #
 # A finite law's p-th moment and an element's L^q norm go through
-# ``lq.power_mean``, and a sampled moment through ``prob.moment_ci``; both
-# divide by the largest value where the powers overflow.  In ``lq``, nothing
-# else raises to an exponent it is given.  Two functions of ``checks`` still
-# raise to the moment exponent themselves: routed through the helper, their
-# nested means move the last bits of a suite row.
+# ``lq.power_mean``, and a moment from draws through ``prob.law_moment``,
+# which alone calls ``prob.moment_ci`` and widens its half-width to 3 sigma;
+# both divide by the largest value where the powers overflow.  In ``lq``,
+# nothing else raises to an exponent it is given.  Two functions of ``checks``
+# still raise to the moment exponent themselves: routed through the helper,
+# their nested means move the last bits of a suite row.
 
 KEEP_OWN_POWERS = {"randomized_sum_moment", "little_rosenthal_term"}
 
@@ -252,6 +253,15 @@ def test_moments_go_through_power_mean():
     moments = powers("checks", _is_moment_exponent) | powers("randmat", _is_moment_exponent)
     assert moments == KEEP_OWN_POWERS
     assert powers("lq", _reads_an_argument) == {"power_mean"}
+
+
+def test_only_law_moment_samples_a_moment():
+    callers = {f"{path.stem}.{getattr(node, 'name', '<module>')}"
+               for path in sorted(SRC.glob("*.py"))
+               for node in ast.parse(path.read_text()).body
+               for n in ast.walk(node)
+               if isinstance(n, ast.Call) and _callee(n.func) == "moment_ci"}
+    assert callers == {"prob.law_moment"}
 
 
 # -- every field is read -------------------------------------------------------------

@@ -450,18 +450,21 @@ def test_doob_integrates_the_last_interval_of_a_long_grid(tmp_path):
     assert row["rhs"] == pytest.approx(2 * row["lhs"], rel=1e-12)
 
 
-_NAN_PRONE = {"rosenthal_positive": {"check": "rosenthal_positive", "p": 1e308},
-              "symmetrization": {"check": "symmetrization", "p": 1e308},
-              "pq_ge2": {"check": "pq_ge2", "p": 1e308},
-              "rosenthal_lq": {"check": "rosenthal_lq", "p": 1e308, "q": 2.0},
-              "type_cotype": {"check": "type_cotype", "q": 1e308}}
+_NAN_PRONE = {"rosenthal_positive": {"check": "rosenthal_positive", "p": 1e308, "instances": 1},
+              "symmetrization": {"check": "symmetrization", "p": 1e308, "instances": 1},
+              "pq_ge2": {"check": "pq_ge2", "p": 1e308, "instances": 1},
+              "rosenthal_lq": {"check": "rosenthal_lq", "p": 1e308, "q": 2.0, "instances": 1},
+              "type_cotype": {"check": "type_cotype", "q": 1e308, "instances": 1},
+              # the summands are finite and their sum overflows: its norm is inf
+              "matrix_sum": {"check": "matrix_sum",
+                             "law": {"two_atom": {"a": 1e308, "prob": 0.5}}}}
 
 
 @pytest.mark.parametrize("job", _NAN_PRONE.values(), ids=_NAN_PRONE.keys())
 def test_no_nan_in_any_report(job):
     # overflowed moments make NaN ratios and slacks: the report drops each
     # one and notes the row instead
-    reports = run_jobs(parse_config({"version": 1, "checks": [dict(job, instances=1)]}))
+    reports = run_jobs(parse_config({"version": 1, "checks": [job]}))
     assert reports
     for r in reports:
         assert not (math.isnan(r.lhs) or math.isnan(r.rhs))
@@ -507,6 +510,12 @@ _HOSTILE = {
     "decoupling-measure-800": ({"check": "decoupling", "process": _one_mark(800.0)}, 3),
     # past numpy's Poisson sampler
     "doob-measure-1e19": ({"check": "doob", "process": _one_mark(1e19), "n_samples": 200}, 2),
+    # the scale-invariance member is 32 times member 0's rescaled table, so
+    # its norm neither underflows nor overflows
+    **{f"ito-value-{v:g}": ({"check": "ito_isomorphism",
+                             "family": [dict(_ONE_CELL, cells=[{"i": 0, "j": 0, "value": [v]}])]},
+                            0)
+       for v in (1e-200, 1e200)},
 }
 
 

@@ -96,25 +96,26 @@ def test_decoupled_zero_process():
 
 def test_running_max_single_cell_sup_is_terminal():
     F = one_cell(0.5, 1.0)
-    res = running_max_moment(F, 3.0, 2.0, n_samples=500, seed=4)
-    assert res["estimate"] == pytest.approx(res["terminal"], rel=1e-12)
+    (sup, _), (terminal, _) = running_max_moment(F, 3.0, 2.0, n_samples=500, seed=4)
+    assert sup == pytest.approx(terminal, rel=1e-12)
 
 
 def test_running_max_doob_domination():
     F = multi_cell_process([0.5, 0.8, 0.3], [np.array([1.0]), np.array([-1.5]),
                                              np.array([2.0])], ES)
     p = 3.0
-    res = running_max_moment(F, p, 2.0, n_samples=4000, seed=8)
+    # both half-widths are 3 sigma
+    (sup, ci), (terminal, terminal_ci) = running_max_moment(F, p, 2.0, n_samples=4000, seed=8)
     p_prime = p / (p - 1)
-    widen = 3 * (res["ci_half"] + p_prime * res["terminal_ci_half"])
-    assert res["estimate"] <= p_prime * res["terminal"] + widen
+    widen = ci + p_prime * terminal_ci
+    assert sup <= p_prime * terminal + widen
 
 
 def test_running_max_zero_process():
     grid = GridPartition(np.array([0.0, 1.0]), ("A",), np.array([0.5]))
     F = SimpleAdaptedProcess(grid, {}, ES, (1,))
-    res = running_max_moment(F, 2.0, 2.0, n_samples=100, seed=1)
-    assert res["estimate"] == 0.0
+    (sup, _), _ = running_max_moment(F, 2.0, 2.0, n_samples=100, seed=1)
+    assert sup == 0.0
 
 
 def test_process_norm_single_cell_formulas():

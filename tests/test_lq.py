@@ -140,7 +140,7 @@ def test_commutative_matches_weighted_diagonal():
 
 def test_exponent_pair_validation():
     ExponentPair(2.0, 3.0)
-    ExponentPair(1.0, 2.0, allow_p_one=True)
+    ExponentPair(1.0, 2.0, allow_one=True)
     with pytest.raises(InvalidInputError):
         ExponentPair(1.0, 2.0)
     with pytest.raises(InvalidInputError):

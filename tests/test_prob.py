@@ -8,7 +8,7 @@ from conftest import norm_q
 from itolab.lq import InvalidInputError, LqElement, point_space, power_mean
 from itolab.prob import (BudgetExceededError, FiniteProbabilitySpace,
                          RandomLqVariable, categorical, centered_poisson_moment,
-                         exact_moment, independent_product, moment_ci, philox,
+                         exact_moment, independent_product, law_moment, moment_ci, philox,
                          product_space, sign_matrix, truncated_poisson)
 from oracles import uniform_space
 
@@ -263,6 +263,15 @@ def test_moment_ci_clips_lower_end_at_zero():
 def test_moment_ci_needs_two_samples(n):
     with pytest.raises(InvalidInputError):
         moment_ci(np.ones(n), 2.0)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.5])
+def test_law_moment_is_exact_for_a_law_and_3_sigma_for_draws(p):
+    values = np.abs(philox(11, 4).standard_normal(300)) * 1.7
+    probs = np.full(300, 1.0 / 300)
+    assert law_moment(values, probs, p) == (power_mean(values, probs, p), 0.0)
+    est, half = moment_ci(values, p)
+    assert law_moment(values, None, p) == (est, 3.0 * half)
 
 
 # -- power_mean ----------------------------------------------------------------

@@ -136,6 +136,24 @@ def test_latala_configured_constant():
     assert rep.status == "pass"
 
 
+def test_latala_configured_verdict_widens_by_the_sampled_ci():
+    # a Gaussian ensemble samples its first moment; a constant that puts
+    # c * base half a 3-sigma CI below it passes, one two CIs below fails
+    ens = MatrixEnsemble(4, 4, 1, gaussian_law(), "entries")
+    (first, half), _, mc = randmat._moments(ens, 1.0, 4000, 0, 2)
+    assert mc
+    assert (first, half) == (pytest.approx(3.11406, abs=1e-5), pytest.approx(0.02866, abs=1e-5))
+
+    def status(c):
+        return bound_latala(ens, 2.0, n_samples=4000, seed=0,
+                            table=ConstantTable(latala_constant=c)).status
+
+    base = bound_latala(ens, 2.0, n_samples=4000, seed=0).rhs
+    assert base == pytest.approx(6.63215, abs=1e-5)
+    assert status((first - half / 2) / base) == "pass"
+    assert status((first - 2 * half) / base) == "fail"
+
+
 def test_seginer_d1_ratio_one():
     rep = seginer_ensemble(np.ones((1, 3)), 2.0)
     # a single row: the sum is a fixed-norm row vector, ratio exactly 1
