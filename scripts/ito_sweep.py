@@ -35,7 +35,7 @@ def main():
             F = single_cell_process(lam, np.array([args.value]), es)
             model = build_exact_model(F, eps=1e-12)
             mom = exact_moment(integrate_exact(model), p, q)
-            val = process_norm(F, p, q, 1e-5, model=model)
+            val = process_norm(F, p, q, model=model)
             print(f"{lam:8.3f} {mom:12.6f} {val:12.6f} {mom / val:8.3f}")
 
 

@@ -200,7 +200,7 @@ KINDS = {
     "norm_exp": partial(_number, ok=lambda x: 1 <= x < math.inf,
                         domain="a finite number of at least 1"),
     "eps": partial(_number, ok=lambda x: 0 < x < 1, domain="a number in (0, 1)"),
-    "tol": partial(_number, **_POSITIVE), "n_samples": partial(_integer, lo=2),
+    "n_samples": partial(_integer, lo=2),
     **dict.fromkeys(("n_atoms", "instances", "d1", "d2", "n", "d"), _integer),
     "n_items": _n_items,
     "element": _element, "law": _law, "lambda_grid": _lambda_grid,
@@ -369,11 +369,10 @@ CHECKS = {
                lambda job, cfg, F, p, q: C.check_doob(
                    F, p, q, n_samples=job["n_samples"] or cfg.samples, seed=cfg.seed))),
     "ito_isomorphism": (
-        {"p": 2.0, "q": 2.0, "family": REQUIRED, "tol": 1e-4},
+        {"p": 2.0, "q": 2.0, "family": REQUIRED},
         _fixed(("p", "q"), lambda job: job["family"],
                lambda job, cfg, fam, p, q: C.check_ito_isomorphism(
-                   fam, p, q, table=cfg.constants, tol=job["tol"],
-                   n_samples=cfg.samples, seed=cfg.seed))),
+                   fam, p, q, table=cfg.constants, n_samples=cfg.samples, seed=cfg.seed))),
     "matrix_sum": (
         {**_MATRIX_KEYS, "n": 4},
         _fixed(("p",), lambda job: _ensemble(job, job["n"], "summand"),

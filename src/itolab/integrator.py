@@ -255,7 +255,7 @@ def _process_tables(F: SimpleAdaptedProcess, model: ExactModel | None):
     return lam, model.space.probs, model.y
 
 
-def process_norm(F: SimpleAdaptedProcess, p: float, q: float, tol: float = 1e-6, *,
+def process_norm(F: SimpleAdaptedProcess, p: float, q: float, *,
                  model: ExactModel | None = None, restarts: int = 8, max_iter: int = 5000,
                  seed: int = 0):
     """The regime composite process norm over the whole grid, an upper bound.
@@ -270,4 +270,4 @@ def process_norm(F: SimpleAdaptedProcess, p: float, q: float, tol: float = 1e-6,
     weights = F.elem_space.weights if F.elem_space is not None else None
     spec = regime_select(p, q, "commutative" if F.elem_space is not None else "noncommutative")
     return evaluate_tree(spec.tree, lambda name: norm_atom(name, p, q, probs, weights, lam), y,
-                         tol, restarts=restarts, max_iter=max_iter, seed=seed)[0]
+                         restarts=restarts, max_iter=max_iter, seed=seed)[0]

@@ -30,7 +30,7 @@ from .lq import InvalidInputError
 from .checks import BOUND_SLACK, ConstantTable, DEFAULT_TABLE, c_pd, relative_slack
 from .prob import categorical, law_moment, philox
 from .report import (CONFIGURED, EXPLICIT, FAIL, MEASURED, PASS, REPORT_ONLY,
-                     CheckReport)
+                     CheckReport, ratio)
 
 EXACT_CONFIG_CAP = 1 << 22
 _CHUNK = 1 << 14
@@ -310,9 +310,7 @@ def bound_latala(ens: MatrixEnsemble, p: float, *, n_samples: int = 10_000,
     shape = p / math.log(max(p, 1.0 + 1e-9))
     moment_rhs = shape * (base + emax)
     details = {"first_moment": first, "terms_sum": base,
-               "first_ratio": first / base if base > 0 else (0.0 if first == 0 else math.inf),
-               "moment_ratio": (lhs_p / moment_rhs if moment_rhs > 0
-                                else (0.0 if lhs_p == 0 else math.inf)),
+               "first_ratio": ratio(first, base), "moment_ratio": ratio(lhs_p, moment_rhs),
                "fourth_term": fourth, "entry_max": emax, "row_term": r_row, "column_term": r_col}
     if table.latala_constant is not None:
         # sampled sides are widened by their 3-sigma CIs, as in bound_matrix_sum
@@ -337,10 +335,10 @@ def seginer_ensemble(a: np.ndarray, p: float, *, n_samples: int = 10_000,
     base = max(_square_terms(ens))
     d = min(d1, d2)
     ref = math.log(d) ** 0.25 if d >= 2 else 1.0
-    ratio = lhs / base if base > 0 else math.nan
+    r = ratio(lhs, base)
     note = ("p beyond the stated range; recorded anyway"
             if p > 2.0 * math.log(max(d1, d2, 2)) else "")
     return CheckReport("seginer", lhs, base, math.nan, MEASURED, REPORT_ONLY,
                        p=p, q=None,
-                       details={"ratio": ratio, "normalized": ratio / ref,
+                       details={"ratio": r, "normalized": r / ref,
                                 "log_quarter": ref, "monte_carlo": mc, "note": note})

@@ -16,6 +16,11 @@ MEASURED = "measured-envelope"     # min/max of a measured ratio sweep
 NOT_FINITE = "a side is not finite: no verdict"
 
 
+def ratio(num: float, den: float) -> float:
+    """A ``details`` ratio of two sides >= 0: 0/0 is 0, x/0 is inf, inf/inf NaN."""
+    return num / den if den > 0 else (0.0 if num == 0 else math.inf)
+
+
 @dataclass
 class CheckReport:
     """Outcome of one inequality check.

@@ -188,7 +188,7 @@ def node_functional(node: NormExpr, atom) -> NormFunctional:
     raise InvalidInputError("sum nodes cannot be nested inside sum children")
 
 
-def evaluate_tree(tree: NormExpr, atom, table: np.ndarray, tol: float, *,
+def evaluate_tree(tree: NormExpr, atom, table: np.ndarray, *,
                   restarts: int, max_iter: int, seed: int):
     """Value of a regime tree on a coefficient table, atoms built by
     ``atom(name)``.  Intersections are exact maxima; sums are optimized
@@ -196,7 +196,6 @@ def evaluate_tree(tree: NormExpr, atom, table: np.ndarray, tol: float, *,
 
     Returns (value, {node label: value}).
     """
-    rel_tol = min(1e-7, tol / 10.0)
     node_values: dict = {}
 
     def eval_node(node: NormExpr) -> float:
@@ -207,24 +206,23 @@ def evaluate_tree(tree: NormExpr, atom, table: np.ndarray, tol: float, *,
         else:
             funcs = [node_functional(c, atom) for c in node.children]
             v = minimize_decomposition(table, funcs, restarts=restarts, max_iter=max_iter,
-                                       rel_tol=rel_tol, seed=seed).value
+                                       seed=seed).value
         node_values[node.label()] = v
         return v
 
     return eval_node(tree), node_values
 
 
-def composite_norm(seq: LqSequence, spec: RegimeSpec, tol: float = 1e-6, *,
+def composite_norm(seq: LqSequence, spec: RegimeSpec, *,
                    restarts: int = 8, max_iter: int = 5000, seed: int = 0) -> CompositeResult:
     """Evaluate the regime tree on the sequence (see ``evaluate_tree``); sums
-    come within ``tol`` relative of the brute-force oracle on small
-    instances."""
+    are optimizer upper bounds whose restarts stop at ``sumopt.REL_TOL``."""
     return CompositeResult(*evaluate_tree(
         spec.tree, lambda name: sequence_atom(name, seq, spec.p, spec.q), seq.values,
-        tol, restarts=restarts, max_iter=max_iter, seed=seed))
+        restarts=restarts, max_iter=max_iter, seed=seed))
 
 
-def square_sum_norm(seq: LqSequence, q: float, tol: float, *, restarts: int = 8,
+def square_sum_norm(seq: LqSequence, q: float, *, restarts: int = 8,
                     max_iter: int = 5000, seed: int = 0) -> float:
     """The S_c + S_r decomposition infimum (its optimizer upper bound for
     matrices, see ``composite_norm``); commutative sequences have S_c = S_r,
@@ -232,5 +230,5 @@ def square_sum_norm(seq: LqSequence, q: float, tol: float, *, restarts: int = 8,
     if seq.kind == "commutative":
         return norm_S(seq, q, "column")
     spec = RegimeSpec(0, 2.0, q, _sum(_atom("S_c"), _atom("S_r")))
-    return composite_norm(seq, spec, tol, restarts=restarts, max_iter=max_iter,
+    return composite_norm(seq, spec, restarts=restarts, max_iter=max_iter,
                           seed=seed).value

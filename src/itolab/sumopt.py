@@ -27,6 +27,10 @@ import numpy as np
 
 from .prob import philox
 
+# the one stopping tolerance: a restart improves only by more than this relative
+# amount, and stops once its halved Polyak gap falls below it
+REL_TOL = 1e-7
+
 
 class OptimizerError(RuntimeError):
     """The sum-norm optimizer ended without a finite value on any restart."""
@@ -90,7 +94,7 @@ def pow2_scale(x: float) -> float:
 
 def minimize_decomposition(target: np.ndarray, funcs: list[NormFunctional], *,
                            restarts: int = 8, max_iter: int = 5000,
-                           rel_tol: float = 1e-7, seed: int = 0) -> DecompositionResult:
+                           seed: int = 0) -> DecompositionResult:
     """Minimize sum_j funcs[j](x_j) subject to sum_j x_j = target.
 
     ``iterations`` is the sum of the restarts' own iteration counts.
@@ -157,7 +161,7 @@ def minimize_decomposition(target: np.ndarray, funcs: list[NormFunctional], *,
             it += 1
             finite = np.isfinite(f)
             improved = finite & (~np.isfinite(f_run_best)
-                                 | (f < f_run_best - rel_tol * np.abs(f_run_best)))
+                                 | (f < f_run_best - REL_TOL * np.abs(f_run_best)))
             f_run_best = np.where(improved, f, f_run_best)
             np.copyto(X_run_best, X, where=per_row(improved, X.ndim))
             stall = np.where(improved, 0, stall + finite)
@@ -172,7 +176,7 @@ def minimize_decomposition(target: np.ndarray, funcs: list[NormFunctional], *,
             # restart back to its best point with half the Polyak gap
             reset = ~checked | bad_grad
             gap = np.where(reset, 0.5 * gap, gap)
-            exhausted = reset & (gap < rel_tol)
+            exhausted = reset & (gap < REL_TOL)
             step = (f - f_run_best * (1.0 - gap)) / gnorm2
             # keep iterates bounded; the Polyak step can blow up on flat spots
             limit = 2.0 * np.maximum(1.0, np.abs(X).reshape(n, -1).max(axis=1))

@@ -203,14 +203,14 @@ def sequence_pairing(f: LqSequence, g: LqSequence) -> complex:
 
 def duality_gap(f: LqSequence, g: LqSequence, p: float, q: float, *, seed: int = 0) -> dict:
     """Pairing vs the product of dual regime norms, each optimized with 2
-    restarts of at most 300 iterations at tol 1e-3; ratio <= 1 + 1e-3 must hold."""
-    tol, restarts, max_iter = 1e-3, 2, 300
+    restarts of at most 300 iterations; ratio <= 1 + 1e-3 must hold."""
+    restarts, max_iter = 2, 300
     pairing = sequence_pairing(f, g)
     mode = "commutative" if f.kind == "commutative" else "noncommutative"
     spec = regime_select(p, q, mode)
     spec_dual = regime_select(conjugate_exponent(p), conjugate_exponent(q), mode)
-    nf = composite_norm(f, spec, tol, restarts=restarts, max_iter=max_iter, seed=seed).value
-    ng = composite_norm(g, spec_dual, tol, restarts=restarts, max_iter=max_iter, seed=seed).value
+    nf = composite_norm(f, spec, restarts=restarts, max_iter=max_iter, seed=seed).value
+    ng = composite_norm(g, spec_dual, restarts=restarts, max_iter=max_iter, seed=seed).value
     bound = nf * ng
     ratio = abs(pairing) / bound if bound > 0 else (0.0 if abs(pairing) == 0 else math.inf)
     return {"pairing": pairing, "bound": bound, "ratio": ratio,

@@ -158,7 +158,7 @@ def test_criterion_07_optimizer_vs_brute_force():
             n_items = 1 if case in (1, 6) else 2
             seq = _scalar_seq(gen, n_items, real=True)
             spec = regime_select(p, q)
-            v_opt = composite_norm(seq, spec, tol=1e-4, seed=k).value
+            v_opt = composite_norm(seq, spec, seed=k).value
             v_bf = brute_force_sum_norm(seq, spec, grid_resolution=9, levels=12)
             gap = abs(v_opt - v_bf) / max(v_bf, 1e-12)
             worst = max(worst, gap)

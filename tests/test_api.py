@@ -1,7 +1,7 @@
 """Scans of ``src/itolab``: every defaulted parameter of a function is set by
-some call, every definition is reached from what a verdict runs, every moment
-goes through one power mean, every field is read, and no report is built
-with a seed.
+some call, no function takes a stopping tolerance, every definition is reached
+from what a verdict runs, every moment goes through one power mean, every field
+is read, and no report is built with a seed.
 
 A default that no call overrides is a configuration nothing selects; it
 belongs in the function body as a constant.  The scan walks the definitions
@@ -89,6 +89,19 @@ def unset_defaults() -> list[str]:
 
 def test_every_defaulted_parameter_is_set_by_some_call():
     assert unset_defaults() == []
+
+
+def test_no_stopping_tolerance_is_a_parameter():
+    # the sum-norm optimizer stops at the one constant ``sumopt.REL_TOL``; a
+    # ``tol`` parameter once reached it as ``min(1e-7, tol / 10)``, which is
+    # 1e-7 for every value a caller passed, so it set nothing
+    named = [f"{path.stem}.{getattr(node, 'name', 'lambda')}.{a.arg}"
+             for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+             for a in ast.walk(node.args)
+             if isinstance(a, ast.arg) and a.arg in ("tol", "rel_tol")]
+    assert named == []
 
 
 # -- reachability ------------------------------------------------------------------

@@ -365,8 +365,8 @@ def test_ito_isomorphism_certificates_show_crossover():
     lam_lo, lam_hi = 0.01, 1.0
     s_lo, dpq_lo = lam_lo ** 0.5, lam_lo ** (1 / p)
     s_hi, dpq_hi = lam_hi ** 0.5, lam_hi ** (1 / p)
-    v_lo = process_norm(lo, p, q, 1e-5)
-    v_hi = process_norm(hi, p, q, 1e-5)
+    v_lo = process_norm(lo, p, q)
+    v_hi = process_norm(hi, p, q)
     assert v_lo == pytest.approx(max(s_lo, dpq_lo), rel=1e-6)  # D_pq dominant
     assert v_hi == pytest.approx(max(s_hi, dpq_hi), rel=1e-6)
     assert dpq_lo > s_lo and s_hi >= dpq_hi

@@ -11,9 +11,10 @@ import pytest
 
 from itolab import checks, lq, prob, randmat
 from itolab.cli import CSV_COLUMNS, DEFAULT_BATTERIES, emit, main, run_jobs
-from itolab.config import (CHECKS, KINDS, ConfigError, load_config, parse_config,
-                           process_from_table)
+from itolab.config import (_TOP_DEFAULTS, CHECKS, KINDS, ConfigError, load_config,
+                           parse_config, process_from_table)
 from itolab.report import NOT_FINITE, CheckReport
+from itolab.seqnorms import LqSequence
 
 PERFBENCH = Path(__file__).parents[1] / "perfbench"
 WORKLOADS = runpy.run_path(str(PERFBENCH / "workloads.py"))["WORKLOADS"]
@@ -115,7 +116,7 @@ _BAD_CONFIGS = {
     "kahane-q-below-1": ({}, {"check": "kahane", "q": 0.5}),
     "string-eps": ({}, {"check": "poisson_moment_bounds", "eps": "x"}),
     "decoupling-zero-eps": ({}, {"check": "decoupling", "process": _ONE_CELL, "eps": 0}),
-    "ito-negative-tol": ({}, {"check": "ito_isomorphism", "family": [_ONE_CELL], "tol": -1}),
+    "ito-tol-key": ({}, {"check": "ito_isomorphism", "family": [_ONE_CELL], "tol": 1e-4}),
     "rosenthal-scalar-p-below-2": ({}, {"check": "rosenthal_scalar", "p": 1.5}),
     "pq-ge2-p-below-2": ({}, {"check": "pq_ge2", "p": 1.5}),
     "rosenthal-lq-p-1": ({}, {"check": "rosenthal_lq", "p": 1}),
@@ -174,8 +175,11 @@ def test_doob_takes_q_1():
 
 
 def test_every_check_key_has_a_kind():
+    # both ways: every key has a kind, and every kind is some key's, so a
+    # key that leaves every check takes its kind with it
     for cid, (keys, _) in CHECKS.items():
         assert set(keys) <= set(KINDS), cid
+    assert set(KINDS) == set(_TOP_DEFAULTS).union(*(keys for keys, _ in CHECKS.values()))
 
 
 def test_type_cotype_rows_are_pinned():
@@ -470,6 +474,21 @@ def test_no_nan_in_any_report(job):
         assert not (math.isnan(r.lhs) or math.isnan(r.rhs))
         assert not any(isinstance(v, float) and math.isnan(v) for v in r.details.values())
     assert any("not finite" in r.details.get("note", "") for r in reports)
+
+
+def test_zero_over_zero_is_not_a_non_finite_side():
+    # both sides 0 make a ratio of 0 (report.ratio), not a NaN that the report
+    # would drop and note as a side that is not finite
+    zeros = [lq.LqElement(np.zeros(1), lq.point_space())] * 2
+    sym = checks.check_symmetrization(LqSequence.deterministic(zeros), 3.0, 2.0)
+    kahane = checks.check_kahane(zeros, 4.0, 2.0)
+    for rep in (sym, kahane):
+        assert (rep.lhs, rep.rhs, rep.status) == (0.0, 0.0, "pass")
+        assert rep.details["ratio"] == 0.0 and "note" not in rep.details
+    (seginer,) = run_jobs(parse_config({"version": 1, "seed": 1, "checks": [
+        {"check": "seginer", "a": [[0, 0], [0, 0]]}]}))
+    assert seginer.details["ratio"] == seginer.details["normalized"] == 0.0
+    assert seginer.details["note"] == "p beyond the stated range; recorded anyway"
 
 
 _MATRIX = {"kind": "matrix", "dims": [2, 2]}

@@ -94,7 +94,7 @@ def test_regime_boundary_coincidence_p2q2():
                    4: (3.0, 1.5), 5: (1.8, 1.5), 6: (1.5, 1.8)}[case_id]
             tree = regime_select(*rep).tree
             spec = RegimeSpec(case_id, 2.0, 2.0, tree)
-            values.append(composite_norm(seq, spec, tol=1e-6, seed=1).value)
+            values.append(composite_norm(seq, spec, seed=1).value)
     ref = values[0]
     for v in values[1:]:
         assert v == pytest.approx(ref, rel=2e-4)
@@ -124,7 +124,7 @@ def test_composite_two_norm_toy_vs_grid():
     seq = LqSequence(one, vals, es)
     tree = NormExpr("sum", None, (NormExpr("atom", "D_qq"), NormExpr("atom", "D_pq")))
     spec = RegimeSpec(0, 4.0, 1.2, tree)
-    res = composite_norm(seq, spec, tol=1e-5, seed=2)
+    res = composite_norm(seq, spec, seed=2)
     assert res.value <= min(norm_D(seq, 1.2, 1.2), norm_D(seq, 4.0, 1.2)) + 1e-9
     bf = brute_force_sum_norm(seq, spec)
     assert res.value == pytest.approx(bf, rel=1e-3, abs=1e-6)
@@ -145,7 +145,7 @@ def test_composite_upper_bounds_every_feasible_decomposition():
     gen = philox(8, 0)
     seq = random_seq(gen, 1)
     spec = regime_select(1.5, 1.8)
-    res = composite_norm(seq, spec, tol=1e-5, seed=3)
+    res = composite_norm(seq, spec, seed=3)
     k = len(spec.tree.children)
     funcs = [c for c in spec.tree.children]
     from itolab.seqnorms import node_functional, sequence_atom
@@ -186,7 +186,7 @@ def test_brute_force_agrees_with_optimizer():
     for trial in range(4):
         seq = random_seq(gen, 1, real=True)
         spec = regime_select(1.8, 1.5)
-        v_opt = composite_norm(seq, spec, tol=1e-5, seed=trial).value
+        v_opt = composite_norm(seq, spec, seed=trial).value
         v_bf = brute_force_sum_norm(seq, spec)
         assert v_opt == pytest.approx(v_bf, rel=2e-3, abs=1e-8)
 
