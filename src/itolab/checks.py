@@ -285,9 +285,6 @@ def check_hoffmann_jorgensen(seq: LqSequence, p: float, q: float, *,
                           seq.space.probs, p)
     shape = hj_shape(p)
     denom = shape * (first + max_term)
-    if lhs == 0 and denom == 0:
-        return CheckReport("hoffmann_jorgensen", 0.0, 0.0, math.nan, MEASURED, PASS,
-                           p=p, q=q, details={"note": "degenerate 0/0"})
     details = {"first_moment": first, "max_term": max_term, "shape": shape}
     # an overflowed side has no ratio, and no verdict even when configured
     finite = math.isfinite(lhs) and math.isfinite(denom)
@@ -411,7 +408,7 @@ def check_decoupling(F, p: float, q: float, *, table: ConstantTable = DEFAULT_TA
     details = {"ratio": r, "truncation_tail": model.truncation_tail,
                "deterministic": F.is_deterministic}
     if F.is_deterministic:
-        ok = abs(r - 1.0) <= tolerance or (lhs == 0 and rhs == 0)
+        ok = abs(r - 1.0) <= tolerance
         return CheckReport("decoupling", lhs, rhs, 1.0, EXPLICIT,
                            PASS if ok else FAIL, p=p, q=q, tolerance=tolerance,
                            details=details)
@@ -458,8 +455,8 @@ def check_ito_isomorphism(family: list, p: float, q: float, *,
     members = []
     r_lo, r_hi = [], []
     for idx, F in enumerate(family):
-        scale = pow2_scale(F.max_abs()) if F.is_deterministic else 1.0
-        moment, ci, mc, value = _ito_member(F.scaled(1.0 / scale), p, q, n_samples, seed, idx)
+        G = F.scaled(1.0 / pow2_scale(F.max_abs())) if F.is_deterministic else F
+        moment, ci, mc, value = _ito_member(G, p, q, n_samples, seed, idx)
         R = moment / value if value > 0 else math.inf
         members.append({"moment": moment, "norm": value, "R": R,
                         "ci_half": ci, "monte_carlo": mc})

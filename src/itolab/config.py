@@ -394,7 +394,8 @@ CHECKS = {
     "seginer": (
         {"p": 2.0, "a": None, "d": 4},
         _fixed(("p",), lambda job: job["a"] or np.ones((job["d"],) * 2),
-               lambda job, cfg, a, p: RM.seginer_ensemble(a, p, seed=cfg.seed))),
+               lambda job, cfg, a, p: RM.seginer_ensemble(
+                   a, p, n_samples=cfg.samples, seed=cfg.seed))),
 }
 
 

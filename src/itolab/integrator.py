@@ -78,13 +78,9 @@ class SimpleAdaptedProcess:
         return all(isinstance(v, LqElement) for v in self.coefficients.values())
 
     def scaled(self, factor: complex) -> "SimpleAdaptedProcess":
-        out = {}
-        for key, c in self.coefficients.items():
-            if isinstance(c, LqElement):
-                out[key] = c * factor
-            else:
-                out[key] = (lambda cb, _c=c: _c(cb) * factor)
-        return SimpleAdaptedProcess(self.grid, out, self.elem_space, tuple(self.elem_shape))
+        """factor times a deterministic process."""
+        coeff = {key: c * factor for key, c in self.coefficients.items()}
+        return SimpleAdaptedProcess(self.grid, coeff, self.elem_space, tuple(self.elem_shape))
 
     def max_abs(self) -> float:
         m = 0.0

@@ -35,9 +35,6 @@ class FiniteMeasureSpace:
             return NotImplemented
         return self.atom_ids == other.atom_ids and np.array_equal(self.weights, other.weights)
 
-    def __hash__(self):
-        return hash((self.atom_ids, self.weights.tobytes()))
-
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
         object.__setattr__(self, "weights", w)
@@ -69,11 +66,6 @@ class LqElement:
 
     values: np.ndarray
     space: FiniteMeasureSpace | None = None
-
-    def __eq__(self, other):
-        if not isinstance(other, LqElement):
-            return NotImplemented
-        return self.space == other.space and np.array_equal(self.values, other.values)
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=complex)

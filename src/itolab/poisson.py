@@ -57,16 +57,6 @@ class GridPartition:
             raise InvalidInputError(f"every cell intensity must be at most {MAX_INTENSITY:g}, "
                                     "the range of the Poisson sampler")
 
-    def __eq__(self, other):
-        if not isinstance(other, GridPartition):
-            return NotImplemented
-        return (self.j_labels == other.j_labels
-                and np.array_equal(self.time_points, other.time_points)
-                and np.array_equal(self.j_measures, other.j_measures))
-
-    def __hash__(self):
-        return hash((self.j_labels, self.time_points.tobytes(), self.j_measures.tobytes()))
-
     @property
     def n_intervals(self) -> int:
         return len(self.time_points) - 1

@@ -44,9 +44,6 @@ class FiniteProbabilitySpace:
             return NotImplemented
         return self.atoms == other.atoms and np.array_equal(self.probs, other.probs)
 
-    def __hash__(self):
-        return hash((self.atoms, self.probs.tobytes()))
-
     def __post_init__(self):
         p = np.asarray(self.probs, dtype=float)
         object.__setattr__(self, "probs", p)

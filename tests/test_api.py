@@ -1,7 +1,8 @@
 """Scans of ``src/itolab``: every defaulted parameter of a function is set by
 some call, no function takes a stopping tolerance, every definition is reached
 from what a verdict runs, every moment goes through one power mean, every field
-is read, and no report is built with a seed.
+is read, no report is built with a seed, and the package root re-exports
+nothing.
 
 A default that no call overrides is a configuration nothing selects; it
 belongs in the function body as a constant.  The scan walks the definitions
@@ -12,9 +13,13 @@ every parameter, and ``functools.partial(f, ...)`` as a call of ``f``.
 """
 
 import ast
+import os
 import runpy
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 CALLERS = ("src", "tests", "scripts", "perfbench")
@@ -345,3 +350,24 @@ def test_no_report_is_built_with_a_seed():
                if isinstance(n, ast.Call) and _callee(n.func) == "CheckReport"
                and any(k.arg in ("seed", None) for k in n.keywords)]
     assert passing == []
+
+
+# -- a bare package root ---------------------------------------------------------------
+#
+# Names come from their modules: the root binds only ``__version__``, so what
+# loads a module is its own import chain, and each module imports on its own.
+
+
+def test_package_root_binds_only_its_version():
+    body = ast.parse((SRC / "__init__.py").read_text()).body
+    statements = [n for n in body
+                  if not (isinstance(n, ast.Expr) and isinstance(n.value, ast.Constant))]
+    assert [sorted(_definitions_of(ast.Module([n], []))) for n in statements] == [["__version__"]]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_each_module_imports_in_a_fresh_interpreter(module):
+    path = os.pathsep.join(filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, "-c", f"import itolab.{module}"],
+                          env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

@@ -200,11 +200,16 @@ def test_hoffmann_jorgensen_reports():
 
 
 def test_hoffmann_jorgensen_zero_degenerate():
+    # an all-zero sequence takes the one route: 0/0 is a ratio of 0, the row
+    # is report-only unless hj_factor is configured, and then it passes
     space = FiniteProbabilitySpace((0,), np.array([1.0]))
     seq = LqSequence(space, np.zeros((2, 1, 1), dtype=complex), ES)
     rep = check_hoffmann_jorgensen(seq, 4.0, 2.0)
-    assert rep.status == "pass"
-    assert "degenerate" in rep.details["note"]
+    assert (rep.status, rep.provenance, rep.details["ratio"]) == ("report-only",
+                                                                   "measured-envelope", 0.0)
+    rep = check_hoffmann_jorgensen(seq, 4.0, 2.0, table=ConstantTable(hj_factor=3.0))
+    assert (rep.status, rep.provenance, rep.constant) == ("pass", "configured", 3.0)
+    assert rep.details["ratio"] == 0.0 and "note" not in rep.details
 
 
 def test_hoffmann_jorgensen_stability_across_n():

@@ -454,6 +454,40 @@ def test_doob_integrates_the_last_interval_of_a_long_grid(tmp_path):
     assert row["rhs"] == pytest.approx(2 * row["lhs"], rel=1e-12)
 
 
+# (constants, job, status): config paths that no default battery or workload
+# takes, a configured rosenthal_factor and kahane at q = 1, where no constant
+# is stated
+_CONSTANT_PATHS = {
+    "rosenthal_factor": ({"rosenthal_factor": 2.0},
+                         {"check": "rosenthal_scalar", "instances": 1}, "pass"),
+    "rosenthal_factor-tight": ({"rosenthal_factor": 1e-3},
+                               {"check": "rosenthal_scalar", "instances": 1}, "fail"),
+    "kahane-q1": ({}, {"check": "kahane", "q": 1, "instances": 1}, "report-only"),
+}
+
+
+@pytest.mark.parametrize("constants, job, status", _CONSTANT_PATHS.values(),
+                         ids=_CONSTANT_PATHS.keys())
+def test_configured_and_unstated_constants(constants, job, status):
+    (r,) = run_jobs(parse_config({"version": 1, "seed": 1, "constants": constants,
+                                  "checks": [job]}))
+    assert r.status == status
+    if "rosenthal_factor" in constants:
+        assert r.details["upper_constant"] == (constants["rosenthal_factor"]
+                                               * r.details["upper_shape"])
+    else:
+        assert math.isnan(r.constant)
+
+
+def test_seginer_draws_the_config_samples():
+    # a 5 x 5 pattern has 2^25 sign configurations, so its law is sampled
+    (r,) = run_jobs(parse_config({"version": 1, "seed": 3, "samples": 200,
+                                  "checks": [{"check": "seginer", "d": 5}]}))
+    expected = randmat.seginer_ensemble(np.ones((5, 5)), 2.0, n_samples=200, seed=3)
+    assert r.details["monte_carlo"] is True
+    assert r.lhs == expected.lhs
+
+
 _NAN_PRONE = {"rosenthal_positive": {"check": "rosenthal_positive", "p": 1e308, "instances": 1},
               "symmetrization": {"check": "symmetrization", "p": 1e308, "instances": 1},
               "pq_ge2": {"check": "pq_ge2", "p": 1e308, "instances": 1},
@@ -624,6 +658,16 @@ def test_runtime_zeroed_by_default(tmp_path):
     emit(reports, str(out), "csv")
     row = out.read_text().splitlines()[1].split(",")
     assert row[CSV_COLUMNS.index("runtime_ms")] == "0"
+
+
+def test_seed_and_mode_flags_override_the_battery(tmp_path):
+    out = tmp_path / "matrix.json"
+    assert main(["matrix", "--seed", "7", "--mode", "sampled", "--out", str(out),
+                 "--format", "json"]) == 0
+    data = json.loads(out.read_text())
+    assert {row["seed"] for row in data} == {7}
+    sums = [row for row in data if row["check_id"] == "matrix_sum"]
+    assert len(sums) == 3 and all(row["details"]["monte_carlo"] is True for row in sums)
 
 
 def test_sampled_mode_forces_monte_carlo(tmp_path):
